@@ -11,11 +11,13 @@ Two scenarios:
   the binary chunk reads feed the batched probes directly.  Gated at
   20x since PR 7 batch-walks the miss path too.
 * **fragmentation-storm replay** (``repro.fuzz`` stressor) — a
-  miss-heavy adversarial trace (>90% of accesses walk).  Walk *planning*
-  is inherently sequential (CWC lookups and cuckoo probes mutate tiny
-  caches access-by-access), so the win here comes from batched line
-  resolution and cache probing only; the gate asserts the batched walk
-  path itself pays off, not just the hit path.
+  miss-heavy adversarial trace (>90% of accesses walk).  The MMU cache
+  lookups of walk *planning* stay sequential (CWC lookups mutate tiny
+  caches access-by-access), so the win here comes from not re-probing
+  the cuckoo tables for predicted hits, batched line resolution over
+  insert-separated segments (drain-separated for radix) and batched
+  cache probing; the gate asserts the batched walk path itself pays
+  off, not just the hit path.
 
 Environment knobs let CI run a cheaper configuration:
 

@@ -74,7 +74,9 @@ class HashedPageTableSet:
                 self._invalidate_cwcs(self.pmd_cwt, vpn)
         if self.pud_cwt.add(vpn, page_size):
             self._invalidate_cwcs(self.pud_cwt, vpn)
-        self._track_peak()
+        if result.new_block:
+            # Table bytes change only inside a cuckoo insert or delete.
+            self._track_peak()
         return result
 
     def unmap(self, vpn: int, page_size: str = "4K") -> bool:
@@ -86,6 +88,9 @@ class HashedPageTableSet:
                     self._invalidate_cwcs(self.pmd_cwt, vpn)
             if self.pud_cwt.remove(vpn, page_size):
                 self._invalidate_cwcs(self.pud_cwt, vpn)
+            # A delete can start an out-of-place downsize, which
+            # allocates the smaller way before the old one is freed.
+            self._track_peak()
         return present
 
     def translate(self, vpn: int) -> Optional[Tuple[int, str]]:

@@ -132,8 +132,8 @@ class ClusteredHashedPageTable:
         """Vectorized :meth:`probe_line_addrs` — shape ``(len(vpns), W)``.
 
         Row ``i`` equals ``probe_line_addrs(int(vpns[i]))``.  Valid only
-        while the underlying cuckoo table is not mutated (fault-separated
-        segments in the batched walk engine).
+        while no insert or delete runs on the underlying cuckoo table
+        (insert-separated segments in the batched walk engine).
         """
         shift = PAGE_SHIFT[self.page_size] + _BLOCK_SHIFT
         blocks = vpns.astype(np.uint64) >> np.uint64(shift)

@@ -166,7 +166,7 @@ class ElasticWay:
 
         Element ``i`` equals ``s.line_addr(i)`` for ``s, i = locate(h[i])``.
         Only valid between mutations: the batched walk engine calls this
-        inside a fault-separated segment where ``size``/``old_size``/
+        inside an insert-separated segment where ``size``/``old_size``/
         ``rehash_ptr``/``direction`` and the storages are all frozen.
         """
         h = hashes.astype(np.uint64)

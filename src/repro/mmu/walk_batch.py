@@ -8,19 +8,24 @@ staying *bit-identical* to the scalar walkers:
 * **Plan** (:meth:`HptWalkBatch.plan` / :meth:`RadixWalkBatch.plan`) runs
   per miss, in global trace order, and performs every operation whose
   *state* is inherently sequential but tiny: CWC lookups/fills, PWC
-  lookups/fills, cuckoo key lookups (``stats.lookups``), the ME-HPT L2P
-  accounting, and the walk counter.  These touch a few dozen entries and
-  are cheap; replaying them on the real objects guarantees the exact
-  hit/miss sequences of the scalar walker.
-* **Seal** (:meth:`~HptWalkBatch.seal_segment`) converts a *fault-
-  separated segment* — the planned walks since the last state-mutating
-  access — into cache-line addresses with vectorized gathers:
+  lookups/fills, the ME-HPT L2P accounting, and the walk counter.
+  Replaying them on the real objects guarantees the exact hit/miss
+  sequences of the scalar walker.  Whether a walk faults is predicted
+  from first touch (page tables start empty and only the fault handler
+  maps pages), so predicted hits are not re-probed: their cuckoo
+  ``stats.lookups`` follow from the CWC candidate set and the static
+  page size, and only predicted faults call the real ``translate``.
+* **Seal** (:meth:`~HptWalkBatch.seal_segment`) converts the pending
+  walks into cache-line addresses with vectorized gathers:
   :meth:`~repro.hashing.clustered.ClusteredHashedPageTable.probe_line_addrs_batch`
   over the cuckoo ways (grouped by candidate-size set), or radix node
-  base addresses memoized per (depth, VPN-prefix).  Sealing must happen
-  before the next fault because faults move cuckoo geometry (resizes,
-  kicks) and grow the radix tree; the *sealed* line addresses stay valid
-  forever (radix nodes are never moved or removed).
+  base addresses memoized per (depth, VPN-prefix).  HPT segments are
+  *insert-separated*: only a cuckoo insert (with its kicks, resize
+  steps, rehash-pointer moves and chunk transitions) moves the lines a
+  walk probes, so pending walks are sealed before a fault predicted to
+  insert a new block and not before a fault into an existing block.
+  Radix segments are *drain-separated*: faults only add nodes, never
+  move them, so pending walks are sealed at flush.
 * **Flush** (:meth:`~HptWalkBatch.flush`) feeds the accumulated line
   stream — still in global per-walk order — through :class:`CacheBatch`,
   an :class:`~repro.mmu.tlb_array.ArrayTlb` mirror of the cache
@@ -33,7 +38,10 @@ staying *bit-identical* to the scalar walkers:
 Accesses that mutate simulator state — demand faults, and everything
 they trigger (cuckoo kicks, resizes, CWT updates, allocation) — are not
 batched: the engine replays them through the real fault handler in
-global trace order between segments.
+global trace order, bracketed by :meth:`~HptWalkBatch.before_fault`
+(which seals when the fault inserts) and
+:meth:`~HptWalkBatch.after_fault` (which checks the predictions against
+the table the handler changed).
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.units import CACHE_LINE
 from repro.ecpt.walker import EcptWalker, _PROBE_ORDER
+from repro.hashing.clustered import PAGE_SHIFT, PAGES_PER_BLOCK
 from repro.mem.cache import CacheHierarchy
 from repro.mmu.tlb_array import ArrayTlb
 from repro.radix.table import FANOUT, LEVEL_BITS, PAGE_SIZE_BITS, ENTRIES_PER_LINE
@@ -59,6 +68,8 @@ MIN_SEAL_BATCH = 8
 SMALL_PROBE_STREAM = 48
 
 _LINE_SHIFT = ENTRIES_PER_LINE.bit_length() - 1
+_BLOCK_SHIFT = PAGES_PER_BLOCK.bit_length() - 1
+_BLOCK_MASK = PAGES_PER_BLOCK - 1
 
 
 class WalkFlush:
@@ -251,182 +262,256 @@ class NumaCacheBatch(CacheBatch):
 
 class HptWalkBatch:
     """Batched walks for :class:`~repro.ecpt.walker.EcptWalker` (and the
-    ME-HPT subclass): CWC resolution and key lookups happen at plan
-    time on the real objects; way line addresses are gathered per
-    candidate-size group; per-walk latency is ``cwc + max(cwt lines) +
-    max(probe lines) + extra`` exactly as in the scalar walker."""
+    ME-HPT subclass): CWC resolution happens at plan time on the real
+    objects; way line addresses are gathered per candidate-size group;
+    per-walk latency is ``cwc + max(cwt lines) + max(probe lines) +
+    extra`` exactly as in the scalar walker.
+
+    Walk outcomes are predicted from first touch: page tables start
+    empty and only the fault handler maps pages, so an access faults iff
+    it is the first touch of its (page size, page number), and the fault
+    inserts a new HPT line iff it is also the first touch of its (page
+    size, block), block = page number >> 3.  Only predicted faults call
+    the real ``translate`` (asserting the page is unmapped); predicted
+    hits add the cuckoo ``stats.lookups`` the scalar probe loop would
+    make.  :meth:`after_fault` checks every prediction against the
+    table the handler just changed.
+    """
 
     def __init__(self, walker: EcptWalker, caches: CacheBatch, sizes: List[str]) -> None:
         self.walker = walker
         self.caches = caches
         self.sizes = sizes
         self.tables = walker.tables
-        self._segment: List[tuple] = []
+        self._page_shift = [PAGE_SHIFT[size] for size in sizes]
+        self._table_for_code = [self.tables.tables[size] for size in sizes]
+        # Per static size: block -> bitmask of its pages touched so far
+        # (8 pages per block, so one small int per block), and the
+        # number of pages touched.
+        self._seen: List[Dict[int, int]] = [dict() for _ in sizes]
+        self._n_seen = [0] * len(sizes)
+        # Candidate-size tuples, in the order the scalar walker iterates
+        # them, interned to small ids; per id its probe-line count and,
+        # per static size, the stats a hitting walk's lookups bump.
+        self._cand_ids: Dict[tuple, int] = {}
+        self._cand_sizes: List[tuple] = []
+        self._cand_width: List[int] = []
+        self._hit_stats: List[list] = []
+        #: (code, predicted insert, stats.inserts before) of the planned fault.
+        self._fault: Optional[tuple] = None
         self._reset_pending()
 
     def _reset_pending(self) -> None:
-        self._flat: List[np.ndarray] = []
-        self._flat_len = 0
+        # Pending walks, one entry per walk in each column.  Walks
+        # [0, _sealed) have their line addresses in _parts/_tail.
         self._locals: List[int] = []
         self._walk_ids: List[int] = []
         self._vpns: List[int] = []
         self._faults: List[bool] = []
         self._extras: List[int] = []
-        self._cwt_start: List[int] = []
+        self._cands: List[int] = []
         self._n_cwt: List[int] = []
-        self._probe_start: List[int] = []
-        self._n_probe: List[int] = []
+        self._cwt_lines: List[int] = []  # every walk's CWT lines, concatenated
+        self._sealed = 0
+        self._cwt_sealed = 0
+        self._parts: List[np.ndarray] = []
+        self._tail: List[int] = []
+
+    def _intern(self, cands: tuple) -> int:
+        tables = self.tables.tables
+        cand = len(self._cand_sizes)
+        self._cand_ids[cands] = cand
+        self._cand_sizes.append(cands)
+        self._cand_width.append(sum(len(tables[s].table.ways) for s in cands))
+        # The scalar probe loop looks up every candidate in probe order
+        # until the hit; None when the static size is not a candidate.
+        self._hit_stats.append([
+            [
+                tables[s].table.stats
+                for s in _PROBE_ORDER[: _PROBE_ORDER.index(size) + 1]
+                if s in cands
+            ] if size in cands else None
+            for size in self.sizes
+        ])
+        return cand
 
     def plan(self, local: int, vpn: int, code: int) -> bool:
         """Phase A for one miss: the walk's sequential state updates.
 
-        Returns True when the access will demand-fault (no candidate
-        table maps the page), in which case the caller must seal the
-        segment and run the real fault handler before planning further.
+        Returns True when the access will demand-fault; the caller then
+        calls :meth:`before_fault` (or :meth:`flush`), runs the real
+        fault handler and calls :meth:`after_fault` before planning
+        further.
         """
         walker = self.walker
-        walk_id = walker.walks
+        self._walk_ids.append(walker.walks)
         walker.walks += 1
         candidate_sizes, cwt_lines = walker._resolve_candidates(vpn)
-        if cwt_lines:
-            walker.cwt_memory_reads += len(cwt_lines)
-        hit_size = None
-        extra = 0
-        if candidate_sizes:
-            extra = walker._extra_probe_cycles(vpn, candidate_sizes)
-            for page_size in _PROBE_ORDER:
-                if page_size not in candidate_sizes:
-                    continue
-                if self.tables.tables[page_size].translate(vpn) is not None:
-                    hit_size = page_size
-                    break
-        fault = hit_size is None
-        assert fault or hit_size == self.sizes[code], (
-            "static page-size prediction diverged from the batched walker"
-        )
-        self._segment.append(
-            (local, walk_id, vpn, tuple(candidate_sizes), cwt_lines, extra, fault)
-        )
-        return fault
-
-    def seal_segment(self) -> None:
-        """Resolve the pending segment's walks to cache-line addresses.
-
-        Must run before the next state-mutating access: line addresses
-        depend on the live cuckoo geometry (rehash pointers, way sizes),
-        which the fault path may change.
-        """
-        seg = self._segment
-        if not seg:
-            return
-        self._segment = []
-        if len(seg) < MIN_SEAL_BATCH:
-            for local, walk_id, vpn, cands, cwt_lines, extra, fault in seg:
-                probe_lines: List[int] = []
-                for page_size in cands:
-                    probe_lines.extend(
-                        self.tables.tables[page_size].probe_line_addrs(vpn)
-                    )
-                self._append_walk(
-                    local, walk_id, vpn, fault, extra, cwt_lines,
-                    np.asarray(probe_lines, dtype=np.int64),
-                )
-            return
-        k = len(seg)
-        groups: Dict[tuple, List[int]] = {}
-        for i, rec in enumerate(seg):
-            groups.setdefault(rec[3], []).append(i)
-        n_cwt = np.array([len(rec[4]) for rec in seg], dtype=np.int64)
-        width = np.zeros(k, dtype=np.int64)
-        rows_by_group: Dict[tuple, np.ndarray] = {}
-        for cands, idxs in groups.items():
-            if not cands:
-                continue
-            vpns_g = np.array([seg[i][2] for i in idxs], dtype=np.int64)
-            mats = [
-                self.tables.tables[s].probe_line_addrs_batch(vpns_g) for s in cands
-            ]
-            rows = mats[0] if len(mats) == 1 else np.hstack(mats)
-            rows_by_group[cands] = rows
-            width[idxs] = rows.shape[1]
-        offs = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(n_cwt + width, out=offs[1:])
-        flat = np.empty(int(offs[-1]), dtype=np.int64)
-        for i, rec in enumerate(seg):
-            if rec[4]:
-                flat[int(offs[i]): int(offs[i]) + len(rec[4])] = rec[4]
-        for cands, idxs in groups.items():
-            rows = rows_by_group.get(cands)
-            if rows is None:
-                continue
-            sel = np.asarray(idxs, dtype=np.int64)
-            starts = offs[sel] + n_cwt[sel]
-            pos = starts[:, None] + np.arange(rows.shape[1], dtype=np.int64)[None, :]
-            flat[pos] = rows
-        base = self._flat_len
-        for i, rec in enumerate(seg):
-            local, walk_id, vpn, _cands, _cwt, extra, fault = rec
-            self._locals.append(local)
-            self._walk_ids.append(walk_id)
-            self._vpns.append(vpn)
-            self._faults.append(fault)
-            self._extras.append(extra)
-            self._cwt_start.append(base + int(offs[i]))
-            self._n_cwt.append(int(n_cwt[i]))
-            self._probe_start.append(base + int(offs[i]) + int(n_cwt[i]))
-            self._n_probe.append(int(width[i]))
-        self._flat.append(flat)
-        self._flat_len += int(flat.size)
-
-    def _append_walk(self, local, walk_id, vpn, fault, extra, cwt_lines, probe_arr):
-        base = self._flat_len
         n_cwt = len(cwt_lines)
+        if n_cwt:
+            walker.cwt_memory_reads += n_cwt
+            self._cwt_lines.extend(cwt_lines)
+        key = tuple(candidate_sizes)
+        cand = self._cand_ids.get(key)
+        if cand is None:
+            cand = self._intern(key)
+        page = vpn >> self._page_shift[code]
+        block = page >> _BLOCK_SHIFT
+        bit = 1 << (page & _BLOCK_MASK)
+        seen = self._seen[code]
+        touched = seen.get(block, 0)
+        fault = not touched & bit
+        extra = 0
+        if fault:
+            seen[block] = touched | bit
+            self._n_seen[code] += 1
+            before = self._table_for_code[code].table.stats.inserts
+            # The first touch of a block inserts its cuckoo line.
+            self._fault = (code, not touched, before)
+            if candidate_sizes:
+                extra = walker._extra_probe_cycles(vpn, candidate_sizes)
+                for page_size in _PROBE_ORDER:
+                    if page_size in candidate_sizes:
+                        ppn = self.tables.tables[page_size].translate(vpn)
+                        assert ppn is None, (
+                            "fault prediction diverged: page already mapped"
+                        )
+        else:
+            hit_stats = self._hit_stats[cand][code]
+            assert hit_stats is not None, (
+                "static page-size prediction diverged from the CWC"
+            )
+            extra = walker._extra_probe_cycles(vpn, candidate_sizes)
+            for stats in hit_stats:
+                stats.lookups += 1
         self._locals.append(local)
-        self._walk_ids.append(walk_id)
         self._vpns.append(vpn)
         self._faults.append(fault)
         self._extras.append(extra)
-        self._cwt_start.append(base)
+        self._cands.append(cand)
         self._n_cwt.append(n_cwt)
-        self._probe_start.append(base + n_cwt)
-        self._n_probe.append(int(probe_arr.size))
-        if n_cwt:
-            self._flat.append(np.asarray(cwt_lines, dtype=np.int64))
-        if probe_arr.size:
-            self._flat.append(probe_arr)
-        self._flat_len += n_cwt + int(probe_arr.size)
+        return fault
+
+    def before_fault(self) -> None:
+        """Seal the pending walks if the planned fault inserts a line.
+
+        A cuckoo insert is the only operation that moves the lines a
+        walk probes (kicks, resize steps, rehash-pointer moves and chunk
+        transitions all run inside it); a fault into an existing line
+        only fills a PTE.
+        """
+        if self._fault[1]:
+            self.seal_segment()
+
+    def after_fault(self) -> None:
+        """Check the planned fault's predictions against its table."""
+        code, inserts, before = self._fault
+        self._fault = None
+        table = self._table_for_code[code]
+        assert (table.table.stats.inserts != before) == inserts, (
+            "insert prediction diverged from the cuckoo table"
+        )
+        assert table.mapped_pages == self._n_seen[code], (
+            "fault prediction diverged: mapped pages differ from first touches"
+        )
+
+    def seal_segment(self) -> None:
+        """Resolve the unsealed pending walks to cache-line addresses.
+
+        Must run before the next cuckoo insert: line addresses depend on
+        the live cuckoo geometry (rehash pointers, way sizes, chunks),
+        which only an insert changes.
+        """
+        lo, hi = self._sealed, len(self._vpns)
+        if lo == hi:
+            return
+        self._sealed = hi
+        cwt = self._cwt_lines[self._cwt_sealed:]
+        self._cwt_sealed = len(self._cwt_lines)
+        vpns = self._vpns[lo:hi]
+        cands = self._cands[lo:hi]
+        n_cwt = self._n_cwt[lo:hi]
+        tables = self.tables.tables
+        if hi - lo < MIN_SEAL_BATCH:
+            out = self._tail
+            c = 0
+            for vpn, cand, nc in zip(vpns, cands, n_cwt):
+                if nc:
+                    out.extend(cwt[c: c + nc])
+                    c += nc
+                for page_size in self._cand_sizes[cand]:
+                    out.extend(tables[page_size].probe_line_addrs(vpn))
+            return
+        k = hi - lo
+        n_cwt_arr = np.array(n_cwt, dtype=np.int64)
+        cand_arr = np.array(cands, dtype=np.int64)
+        width = np.array(self._cand_width, dtype=np.int64)[cand_arr]
+        offs = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(n_cwt_arr + width, out=offs[1:])
+        flat = np.empty(int(offs[-1]), dtype=np.int64)
+        if cwt:
+            rows = np.repeat(np.arange(k, dtype=np.int64), n_cwt_arr)
+            firsts = np.cumsum(n_cwt_arr) - n_cwt_arr
+            within = np.arange(len(cwt), dtype=np.int64) - firsts[rows]
+            flat[offs[rows] + within] = cwt
+        vpn_arr = np.array(vpns, dtype=np.int64)
+        probe_at = offs[:-1] + n_cwt_arr
+        for cand in set(cands):
+            sizes = self._cand_sizes[cand]
+            if not sizes:
+                continue
+            sel = np.flatnonzero(cand_arr == cand)
+            mats = [tables[s].probe_line_addrs_batch(vpn_arr[sel]) for s in sizes]
+            lines = mats[0] if len(mats) == 1 else np.hstack(mats)
+            pos = probe_at[sel][:, None] + np.arange(lines.shape[1], dtype=np.int64)
+            flat[pos] = lines
+        self._push_tail()
+        self._parts.append(flat)
+
+    def _push_tail(self) -> None:
+        """Move the short-segment lines into the sealed parts."""
+        if self._tail:
+            self._parts.append(np.array(self._tail, dtype=np.int64))
+            self._tail = []
+
+    def _sealed_lines(self) -> np.ndarray:
+        """Every sealed line address, in pending-walk order."""
+        self._push_tail()
+        parts = self._parts
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def flush(self) -> Optional[WalkFlush]:
         """Probe all pending line streams; return per-walk results."""
         self.seal_segment()
-        if not self._locals:
-            return None
-        walker = self.walker
         k = len(self._locals)
-        if self._flat_len:
-            flat = self._flat[0] if len(self._flat) == 1 else np.concatenate(self._flat)
-            lat = self.caches.probe(flat)
-        else:
-            lat = np.empty(0, dtype=np.int64)
+        if not k:
+            return None
+        flat = self._sealed_lines()
+        lat = self.caches.probe(flat) if flat.size else flat
+        n_cwt = np.array(self._n_cwt, dtype=np.int64)
+        n_probe = np.array(self._cand_width, dtype=np.int64)[
+            np.array(self._cands, dtype=np.int64)
+        ]
+        accesses = n_cwt + n_probe
+        starts = np.zeros(k, dtype=np.int64)
+        np.cumsum(accesses[:-1], out=starts[1:])
         lat_pad = np.concatenate([lat, np.zeros(1, dtype=np.int64)])
         bounds = np.empty(2 * k, dtype=np.int64)
-        bounds[0::2] = self._cwt_start
-        bounds[1::2] = self._probe_start
+        bounds[0::2] = starts
+        bounds[1::2] = starts + n_cwt
         reduced = np.maximum.reduceat(lat_pad, bounds)
-        n_cwt = np.asarray(self._n_cwt, dtype=np.int64)
-        n_probe = np.asarray(self._n_probe, dtype=np.int64)
         # reduceat yields the element at the boundary for empty slices
         # (and the pad sentinel for a trailing one); mask those to the
         # scalar walker's access_parallel([]) == 0.
         cwt_max = np.where(n_cwt > 0, reduced[0::2], 0)
         probe_max = np.where(n_probe > 0, reduced[1::2], 0)
         cycles = (
-            np.int64(walker.cwc_cycles) + cwt_max + probe_max
-            + np.asarray(self._extras, dtype=np.int64)
+            np.int64(self.walker.cwc_cycles) + cwt_max + probe_max
+            + np.array(self._extras, dtype=np.int64)
         )
-        accesses = n_cwt + n_probe
-        result = self._finish(cycles, accesses)
-        return result
+        return self._finish(cycles, accesses)
 
     def _finish(self, cycles: np.ndarray, accesses: np.ndarray) -> WalkFlush:
         walker = self.walker
@@ -438,7 +523,7 @@ class HptWalkBatch:
                 bins[value] = bins.get(value, 0) + 1
             walker.walk_latency.observe_bins(bins)
         result = WalkFlush(
-            np.asarray(self._locals, dtype=np.int64),
+            np.array(self._locals, dtype=np.int64),
             self._walk_ids, self._vpns, self._faults, cycles, accesses,
         )
         self._reset_pending()
@@ -450,11 +535,13 @@ class RadixWalkBatch(HptWalkBatch):
 
     PWC lookups/fills happen at plan time on the real caches; node line
     addresses for non-faulting walks are gathered from per-(depth,
-    prefix) memos of the tree (nodes are only ever created, so a
-    resolved base address stays valid); faulting walks take the real
-    ``table.walk`` since their path depth depends on live tree shape.
-    Per-walk latency is ``pwc + sum(per-level lines)`` — the radix walk
-    is sequential, unlike the HPT's parallel probes.
+    prefix) memos of the tree; faulting walks take their lines from the
+    real ``table.walk`` at plan time, since their path depth depends on
+    live tree shape.  Nodes are only ever created, never moved, so a
+    pending walk's lines never change and pending walks are sealed only
+    at :meth:`flush`.  Per-walk latency is ``pwc + sum(per-level
+    lines)`` — the radix walk is sequential, unlike the HPT's parallel
+    probes.
     """
 
     def __init__(self, walker: RadixWalker, caches: CacheBatch, sizes: List[str]) -> None:
@@ -468,18 +555,21 @@ class RadixWalkBatch(HptWalkBatch):
         self._seen: List[set] = [set() for _ in sizes]
         self._memo: List[Dict[int, int]] = [dict() for _ in range(self.levels)]
         self._memo[0][0] = self.table.root.addr // CACHE_LINE
-        self._segment: List[tuple] = []
+        self._fault_code: Optional[int] = None
         self._reset_pending()
 
     def _reset_pending(self) -> None:
-        self._flat: List[np.ndarray] = []
-        self._flat_len = 0
         self._locals: List[int] = []
         self._walk_ids: List[int] = []
         self._vpns: List[int] = []
         self._faults: List[bool] = []
-        self._starts: List[int] = []
-        self._lens: List[int] = []
+        self._depths: List[int] = []
+        self._pwc_starts: List[int] = []
+        self._paths: List[int] = []  # faulting walks' full paths, concatenated
+        self._sealed = 0
+        self._paths_sealed = 0
+        self._parts: List[np.ndarray] = []
+        self._tail: List[int] = []
 
     def plan(self, local: int, vpn: int, code: int) -> bool:
         """Phase A for one radix miss.
@@ -493,23 +583,39 @@ class RadixWalkBatch(HptWalkBatch):
         size)``.
         """
         walker = self.walker
-        walk_id = walker.walks
+        self._walk_ids.append(walker.walks)
         walker.walks += 1
         key = vpn >> self._page_shift[code]
         seen = self._seen[code]
         fault = key not in seen
-        fault_lines = None
         if fault:
             seen.add(key)
-            leaf, fault_lines = self.table.walk(vpn)
+            self._fault_code = code
+            leaf, lines = self.table.walk(vpn)
             assert leaf is None, "fault prediction diverged: page already mapped"
-            depth = len(fault_lines)
+            depth = len(lines)
+            self._paths.extend(lines)
         else:
             depth = self._depth_for_code[code]
         start = walker.pwc.lookup(vpn, max_depth=depth - 1)
         walker.pwc.fill(vpn, depth - 1)
-        self._segment.append((local, walk_id, vpn, depth, start, fault_lines))
+        self._locals.append(local)
+        self._vpns.append(vpn)
+        self._faults.append(fault)
+        self._depths.append(depth)
+        self._pwc_starts.append(start)
         return fault
+
+    def before_fault(self) -> None:
+        """Nothing to seal: a fault only adds radix nodes."""
+
+    def after_fault(self) -> None:
+        """Check the planned fault's prediction against the table."""
+        code = self._fault_code
+        self._fault_code = None
+        assert (
+            self.table.mapped_pages[self.sizes[code]] == len(self._seen[code])
+        ), "fault prediction diverged: mapped pages differ from first touches"
 
     def _resolve(self, depth: int, prefix: int) -> int:
         node = self.table.node_for_prefix(prefix, depth)
@@ -531,33 +637,47 @@ class RadixWalkBatch(HptWalkBatch):
         return out
 
     def seal_segment(self) -> None:
-        seg = self._segment
-        if not seg:
+        """Resolve the unsealed pending walks to cache-line addresses."""
+        lo, hi = self._sealed, len(self._vpns)
+        if lo == hi:
             return
-        self._segment = []
-        k = len(seg)
-        lens = [rec[3] - rec[4] for rec in seg]
-        if k < MIN_SEAL_BATCH:
-            for rec, length in zip(seg, lens):
-                local, walk_id, vpn, depth, start, fault_lines = rec
-                if fault_lines is not None:
-                    lines = fault_lines[start:]
+        self._sealed = hi
+        paths = self._paths[self._paths_sealed:]
+        self._paths_sealed = len(self._paths)
+        depths = self._depths[lo:hi]
+        starts = self._pwc_starts[lo:hi]
+        faults = self._faults[lo:hi]
+        if hi - lo < MIN_SEAL_BATCH:
+            out = self._tail
+            p = 0
+            for vpn, depth, start, fault in zip(self._vpns[lo:hi], depths, starts, faults):
+                if fault:
+                    out.extend(paths[p + start: p + depth])
+                    p += depth
                 else:
-                    lines = self._lines_for(vpn, depth, start)
-                self._register(local, walk_id, vpn, fault_lines is not None, length)
-                self._flat.append(np.asarray(lines, dtype=np.int64))
-                self._flat_len += length
+                    out.extend(self._lines_for(vpn, depth, start))
             return
+        k = hi - lo
+        depth_arr = np.array(depths, dtype=np.int64)
+        start_arr = np.array(starts, dtype=np.int64)
+        fault_arr = np.array(faults, dtype=bool)
+        lens = depth_arr - start_arr
         offs = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.asarray(lens, dtype=np.int64), out=offs[1:])
+        np.cumsum(lens, out=offs[1:])
         flat = np.empty(int(offs[-1]), dtype=np.int64)
-        vpns = np.array([rec[2] for rec in seg], dtype=np.int64)
-        depth_arr = np.array([rec[3] for rec in seg], dtype=np.int64)
-        start_arr = np.array([rec[4] for rec in seg], dtype=np.int64)
-        predicted = np.array([rec[5] is None for rec in seg], dtype=bool)
-        for i, rec in enumerate(seg):
-            if rec[5] is not None:
-                flat[int(offs[i]): int(offs[i + 1])] = rec[5][rec[4]:]
+        if paths:
+            # Faulting walks: lines [start, depth) of each recorded path.
+            fidx = np.flatnonzero(fault_arr)
+            path_at = np.cumsum(depth_arr[fidx]) - depth_arr[fidx]
+            flen = lens[fidx]
+            rows = np.repeat(np.arange(fidx.size, dtype=np.int64), flen)
+            within = np.arange(int(flen.sum()), dtype=np.int64) - (
+                np.cumsum(flen) - flen
+            )[rows]
+            src = path_at[rows] + start_arr[fidx][rows] + within
+            flat[offs[fidx][rows] + within] = np.array(paths, dtype=np.int64)[src]
+        vpns = np.array(self._vpns[lo:hi], dtype=np.int64)
+        predicted = ~fault_arr
         for d in range(int(depth_arr.max())):
             sel = np.flatnonzero(predicted & (start_arr <= d) & (d < depth_arr))
             if sel.size == 0:
@@ -577,34 +697,24 @@ class RadixWalkBatch(HptWalkBatch):
             flat[offs[sel] + (d - start_arr[sel])] = bases[inverse] + (
                 index >> np.int64(_LINE_SHIFT)
             )
-        for i, rec in enumerate(seg):
-            self._register(
-                rec[0], rec[1], rec[2], rec[5] is not None,
-                int(lens[i]), self._flat_len + int(offs[i]),
-            )
-        self._flat.append(flat)
-        self._flat_len += int(flat.size)
-
-    def _register(
-        self, local, walk_id, vpn, fault, length, start_abs=None
-    ) -> None:
-        self._locals.append(local)
-        self._walk_ids.append(walk_id)
-        self._vpns.append(vpn)
-        self._faults.append(fault)
-        self._starts.append(self._flat_len if start_abs is None else start_abs)
-        self._lens.append(length)
+        self._push_tail()
+        self._parts.append(flat)
 
     def flush(self) -> Optional[WalkFlush]:
+        """Seal and probe all pending walks; return per-walk results."""
         self.seal_segment()
-        if not self._locals:
+        k = len(self._locals)
+        if not k:
             return None
-        flat = self._flat[0] if len(self._flat) == 1 else np.concatenate(self._flat)
-        lat = self.caches.probe(flat)
+        lat = self.caches.probe(self._sealed_lines())
+        accesses = np.array(self._depths, dtype=np.int64) - np.array(
+            self._pwc_starts, dtype=np.int64
+        )
+        starts = np.zeros(k, dtype=np.int64)
+        np.cumsum(accesses[:-1], out=starts[1:])
         lat_pad = np.concatenate([lat, np.zeros(1, dtype=np.int64)])
-        sums = np.add.reduceat(lat_pad, np.asarray(self._starts, dtype=np.int64))
+        sums = np.add.reduceat(lat_pad, starts)
         cycles = np.int64(self.walker.pwc_cycles) + sums
-        accesses = np.asarray(self._lens, dtype=np.int64)
         return self._finish(cycles, accesses)
 
 

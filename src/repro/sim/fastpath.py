@@ -5,12 +5,14 @@ numpy chunks instead of one Python int at a time.  Per chunk it decides
 — exactly, via :class:`~repro.mmu.tlb_array.ArrayTlb`'s offline LRU
 computation — which accesses hit L1 (zero cycles), which hit L2, and
 which are full misses.  The misses are then *batch-walked*
-(:mod:`repro.mmu.walk_batch`): per fault-separated segment the walkers'
-cache-line streams are resolved with vectorized gathers (cuckoo-way
-addresses, radix node memos) and probed against array mirrors of the
-cache hierarchy; only accesses that mutate simulator state — demand
-faults, with their kicks, resizes and allocations — run through the
-real fault handler, in global trace order.  Results are
+(:mod:`repro.mmu.walk_batch`): walk outcomes are predicted from first
+touch, so predicted hits are not re-probed, and the walkers' cache-line
+streams are resolved with vectorized gathers (cuckoo-way addresses,
+radix node memos) per insert-separated HPT segment or drain-separated
+radix segment, then probed against array mirrors of the cache
+hierarchy; only accesses that mutate simulator state — demand faults,
+with their kicks, resizes and allocations — run through the real fault
+handler, in global trace order.  Results are
 **bit-identical** to
 :class:`~repro.sim.simulator.TranslationSimulator`'s scalar loop: every
 ``PerformanceResult`` field, every TLB/cache/walker counter, metrics
@@ -31,11 +33,12 @@ What makes exactness possible:
   each access's resolved size is computed up front by
   :class:`StaticThpSizer` and the chunk splits into independent per-size
   probe streams.
-* Faults are the only operations that mutate page tables, cuckoo
-  geometry or CWT contents, so between faults the walk batcher can
-  resolve line addresses for many walks at once; the cache hierarchy is
-  touched by nothing but walks, so its probes can be deferred across
-  fault boundaries and batched per chunk.
+* Faults are the only operations that mutate page tables or CWT
+  contents, and only a fault that inserts a cuckoo line moves the lines
+  a walk probes (radix nodes never move), so the walk batcher resolves
+  line addresses for every walk between two inserts at once; the cache
+  hierarchy is touched by nothing but walks, so its probes can be
+  deferred across fault boundaries and batched per chunk.
 * Cycle totals are integer-valued floats below 2**53, so batched sums
   equal the scalar engine's one-by-one accumulation exactly.
 
@@ -302,26 +305,30 @@ def run_vectorized(
 
         aborted_at = -1
         try:
-            for local in np.flatnonzero(level >= 2).tolist():
+            misses = np.flatnonzero(level >= 2)
+            for local, vpn, code in zip(
+                misses.tolist(), chunk[misses].tolist(), stream[misses].tolist()
+            ):
                 index = base + local
                 while next_check and next_check < index:
                     check_system_invariants(system, next_check)
                     next_check += check_every
                 aborted_at = local
-                vpn = int(chunk[local])
-                code = int(stream[local])
                 if batcher is not None:
                     if batcher.plan(local, vpn, code):
-                        # State-mutating access: seal the segment's line
-                        # addresses against the pre-fault geometry, then
-                        # run the real fault handler in trace order.
-                        # Cache probing itself only needs to happen now
-                        # when events are being synthesized.
-                        batcher.seal_segment()
+                        # Demand fault, run through the real handler in
+                        # trace order.  The batcher seals its pending
+                        # walks first only if the fault inserts a cuckoo
+                        # line (radix walks seal at drain); traced runs
+                        # drain so fault-path events land at the right
+                        # clock.
                         if tracer_on:
                             _drain()
+                        else:
+                            batcher.before_fault()
                         level[local] = 3
                         fault = fault_fn(vpn)
+                        batcher.after_fault()
                         assert fault.page_size == sizes[code], (
                             "static page-size prediction diverged from the kernel"
                         )

@@ -16,8 +16,10 @@ run_quantum` exactly):
   the single-process fast path; the leave-at-MRU invariant holds across
   quanta because nothing outside the process's own accesses touches its
   TLBs (the datacenter shootdown model is accounting-only).
-* Misses are planned in trace order against the real walker state; only
-  demand faults run the real kernel fault path.  The per-walk NUMA
+* Misses are planned in trace order against the real walker state and
+  sealed per insert-separated HPT segment or drain-separated radix
+  segment, with predicted hits not re-probed; only demand faults run
+  the real kernel fault path.  The per-walk NUMA
   charge (``machine.on_walk``) that the scalar
   :meth:`~repro.mmu.hierarchy.TlbHierarchy.translate` applies per walk
   is replicated as batched per-socket adds at flush — exact, because the
@@ -132,17 +134,19 @@ class QuantumEngine:
         tlb = self.system.tlb
         aborted_at = -1
         try:
-            for local in np.flatnonzero(level >= 2).tolist():
+            misses = np.flatnonzero(level >= 2)
+            for local, vpn, code in zip(
+                misses.tolist(), chunk[misses].tolist(), stream[misses].tolist()
+            ):
                 aborted_at = local
-                vpn = int(chunk[local])
-                code = int(stream[local])
                 if batcher.plan(local, vpn, code):
-                    # Demand fault: seal the segment's line addresses
-                    # against the pre-fault geometry, then run the real
-                    # fault handler in trace order.
-                    batcher.seal_segment()
+                    # Demand fault: the batcher seals its pending walks
+                    # only if the fault inserts a cuckoo line, then the
+                    # real fault handler runs in trace order.
+                    batcher.before_fault()
                     level[local] = 3
                     fault = fault_fn(vpn)
+                    batcher.after_fault()
                     assert fault.page_size == sizes[code], (
                         "static page-size prediction diverged from the kernel"
                     )
