@@ -188,20 +188,15 @@ class NumaCacheBatch(CacheBatch):
     :meth:`write_back` — nothing reads them mid-run (results and
     metric snapshots are taken after the final write-back).
 
-    Requires an integer ``remote_dram_delta`` (per-line latencies stay
-    int64 and batched sums stay exact); the engine selection layer
-    falls back to the scalar loop otherwise.
+    Per-line latencies stay int64, so ``remote_dram_delta`` must be a
+    whole number of cycles; ``DatacenterParams.validate`` rejects any
+    other value.
     """
 
     def __init__(self, hierarchy) -> None:
         super().__init__(hierarchy)
-        machine = hierarchy.machine
-        if not float(machine.remote_dram_delta).is_integer():
-            raise ConfigurationError(
-                "NumaCacheBatch needs an integral remote_dram_delta"
-            )
-        self.machine = machine
-        self._delta = int(machine.remote_dram_delta)
+        self.machine = hierarchy.machine
+        self._delta = int(self.machine.remote_dram_delta)
         self._local_dram = 0
         self._remote_dram = 0
         self._snapshot_epoch = -1
@@ -719,9 +714,12 @@ class RadixWalkBatch(HptWalkBatch):
 
 
 def make_walk_batch(system, sizes: List[str], caches: Optional[CacheBatch] = None):
-    """Build the walk batcher for ``system``, or None when the walker or
-    cache geometry has no batched implementation (the engine then falls
-    back to the scalar walker per miss — still exact, just slower).
+    """Build the walk batcher for ``system``'s walker.
+
+    Every system :meth:`~repro.sim.config.SimulationConfig.build`
+    assembles has one: its walker is an :class:`EcptWalker` (ME-HPT's
+    included) or a :class:`RadixWalker`, over a cache hierarchy whose
+    set counts are powers of two.
 
     ``caches`` lets callers share one cache mirror across several
     batchers — the datacenter quantum engine passes a single
@@ -729,12 +727,9 @@ def make_walk_batch(system, sizes: List[str], caches: Optional[CacheBatch] = Non
     shared LLC state evolves in global quantum order."""
     walker = system.walker
     if caches is None:
-        try:
-            caches = CacheBatch(walker.caches)
-        except (AttributeError, ConfigurationError):
-            return None
-    if isinstance(walker, EcptWalker):
-        return HptWalkBatch(walker, caches, sizes)
+        caches = CacheBatch(walker.caches)
     if isinstance(walker, RadixWalker):
         return RadixWalkBatch(walker, caches, sizes)
-    return None
+    if isinstance(walker, EcptWalker):
+        return HptWalkBatch(walker, caches, sizes)
+    raise ConfigurationError(f"no batched walks for {type(walker).__name__}")

@@ -20,9 +20,8 @@ with a 400 before it ever reaches the queue.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, get_type_hints
 
 from repro.common.errors import ConfigurationError, MEHPTError
 from repro.experiments.engine import TRACE_APP_PREFIX
@@ -172,7 +171,8 @@ def _parse_settings(payload: object) -> ExperimentSettings:
 
 
 def _parse_overrides(payload: object, kind: str = "perf") -> Dict[str, object]:
-    """Validate config overrides: known scalar fields only.
+    """Validate config overrides: known scalar fields only, each given a
+    JSON value of its field's type.
 
     ``datacenter`` jobs may additionally pass ``dc_*`` machine-model
     knobs (see :class:`~repro.sim.datacenter.simulator.DatacenterParams`);
@@ -183,11 +183,13 @@ def _parse_overrides(payload: object, kind: str = "perf") -> Dict[str, object]:
         return {}
     _require(isinstance(payload, dict), "overrides must be an object",
              field="overrides")
-    from repro.sim.config import SimulationConfig
+    from repro.sim.config import SCALAR_FIELD_TYPES, SimulationConfig, fits_field
     from repro.sim.datacenter import DC_PREFIX
 
-    allowed = {f.name for f in dataclasses.fields(SimulationConfig)}
-    # Serving-internal knobs a request must not smuggle in directly.
+    hints = get_type_hints(SimulationConfig)
+    # Fields a JSON scalar can fill, minus serving-internal knobs a
+    # request must not smuggle in directly.
+    allowed = {name for name, hint in hints.items() if hint in SCALAR_FIELD_TYPES}
     for reserved in ("obs", "fault_plan", "recovery", "trace_file"):
         allowed.discard(reserved)
     overrides: Dict[str, object] = {}
@@ -205,6 +207,9 @@ def _parse_overrides(payload: object, kind: str = "perf") -> Dict[str, object]:
                  f"field", field="overrides")
         _require(isinstance(value, _SCALAR_TYPES),
                  f"overrides.{name} must be a JSON scalar", field="overrides")
+        _require(fits_field(value, hints[name]),
+                 f"overrides.{name} must be {SCALAR_FIELD_TYPES[hints[name]][1]}",
+                 field="overrides")
         overrides[name] = value
     if dc_overrides:
         from repro.sim.datacenter import DatacenterParams

@@ -48,6 +48,26 @@ ORGANIZATIONS = ("radix", "ecpt", "mehpt")
 #: Valid values for :attr:`SimulationConfig.engine`.
 ENGINES = ("auto", "scalar", "vectorized")
 
+#: Value types a scalar config field accepts, by field type, and how
+#: errors name them.
+SCALAR_FIELD_TYPES = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def fits_field(value: object, field_type: type) -> bool:
+    """Whether ``value`` may set a config field of scalar ``field_type``.
+
+    A bool fits only a bool field, although ``True`` is an ``int``.
+    """
+    accepted = SCALAR_FIELD_TYPES[field_type][0]
+    return isinstance(value, accepted) and isinstance(value, bool) == (
+        field_type is bool
+    )
+
 
 @dataclass
 class SimulationConfig:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, get_type_hints
 
 from repro.common.errors import ConfigurationError, MEHPTError
 from repro.common.units import CACHE_LINE, MB, PAGE_4K
@@ -34,7 +34,7 @@ from repro.obs.trace import (
     EVENT_RUN_END,
     EVENT_RUN_START,
 )
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SCALAR_FIELD_TYPES, SimulationConfig, fits_field
 from repro.sim.datacenter.replication import (
     POLICIES,
     PlacementUnit,
@@ -85,7 +85,15 @@ class DatacenterParams:
     frag_fraction: float = 0.5
 
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on out-of-range values."""
+        """Raise :class:`ConfigurationError` on wrong-typed or
+        out-of-range values."""
+        for name, field_type in get_type_hints(DatacenterParams).items():
+            value = getattr(self, name)
+            if not fits_field(value, field_type):
+                raise ConfigurationError(
+                    f"{DC_PREFIX}{name} must be "
+                    f"{SCALAR_FIELD_TYPES[field_type][1]}, got {value!r}"
+                )
         if self.sockets < 1:
             raise ConfigurationError("dc_sockets must be >= 1")
         if self.processes < 1:
@@ -102,8 +110,14 @@ class DatacenterParams:
             raise ConfigurationError("dc churn/rebalance periods must be >= 0")
         if self.max_forks < 0:
             raise ConfigurationError("dc_max_forks must be >= 0")
-        if self.remote_dram_delta < 0:
-            raise ConfigurationError("dc_remote_dram_delta must be >= 0")
+        if not (
+            self.remote_dram_delta >= 0
+            and float(self.remote_dram_delta).is_integer()
+        ):
+            # Batched walk latencies are int64 cycle counts.
+            raise ConfigurationError(
+                "dc_remote_dram_delta must be a whole number of cycles >= 0"
+            )
         if self.pool_mb < 1:
             raise ConfigurationError("dc_pool_mb must be >= 1")
         if not 0.0 <= self.frag_fraction < 1.0:
@@ -244,19 +258,13 @@ class DatacenterSimulator:
         self._clock = 0.0
         # Engine selection (SimulationConfig.engine): "auto" and
         # "vectorized" run tenant quanta through per-tenant
-        # QuantumEngines sharing one NumaCacheBatch mirror.  A
-        # non-integral remote_dram_delta falls back to the scalar loop
-        # (batched int64 latency sums are only exact for integer
-        # deltas); results are bit-identical either way.
-        self._engine_mode = (
-            "vectorized"
-            if (
-                config.resolve_engine() == "vectorized"
-                and float(self.params.remote_dram_delta).is_integer()
-            )
-            else "scalar"
+        # QuantumEngines sharing one NumaCacheBatch mirror; results are
+        # bit-identical to scalar quanta.
+        self._cache_batch: Optional[NumaCacheBatch] = (
+            NumaCacheBatch(self.caches)
+            if config.resolve_engine() == "vectorized"
+            else None
         )
-        self._cache_batch: Optional[NumaCacheBatch] = None
         #: Engine diagnostics (fastpath.quantum_* metrics).
         self.quantum_runs = 0
         self.quantum_accesses = 0
@@ -303,35 +311,13 @@ class DatacenterSimulator:
             self.params.cores_per_socket,
         )
         self.tenants.append(tenant)
-        if self._engine_mode == "vectorized":
-            self._attach_engine(tenant)
+        if self._cache_batch is not None:
+            tenant.engine = QuantumEngine(
+                process, system, caches=self._cache_batch, machine=self.machine
+            )
         self._scan_units(tenant)
         self._emit_lifecycle(tenant, phase)
         return tenant
-
-    def _attach_engine(self, tenant: Tenant) -> None:
-        """Give the tenant a vectorized engine over the shared cache mirror.
-
-        The organization (and thus walker geometry) is uniform across
-        tenants, so an unsupported walker trips at the *first* spawn —
-        before any quantum has run — and demotes the whole run to
-        scalar quanta.
-        """
-        if self._cache_batch is None:
-            try:
-                self._cache_batch = NumaCacheBatch(self.caches)
-            except ConfigurationError:
-                self._engine_mode = "scalar"
-                return
-        engine = QuantumEngine(
-            tenant.process, tenant.system,
-            caches=self._cache_batch, machine=self.machine,
-        )
-        if not engine.supported:
-            self._engine_mode = "scalar"
-            self._cache_batch = None
-            return
-        tenant.engine = engine
 
     def _emit_lifecycle(self, tenant: Tenant, phase: str, **extra) -> None:
         if self.obs is not None:
@@ -567,6 +553,11 @@ class DatacenterSimulator:
         except MEHPTError as exc:
             self.failed = True
             self.failure_reason = f"{type(exc).__name__}: {exc}"
+            # Install the live tenants' TLB contents, as scalar runs
+            # leave them.
+            for tenant in self.tenants:
+                if tenant.active and tenant.engine is not None:
+                    tenant.engine.finalize()
         return self._result()
 
     # -- reporting -----------------------------------------------------
@@ -622,20 +613,19 @@ class DatacenterSimulator:
         registry.counter("dc.pool_alloc_failures").set_total(
             self.pool_alloc_failures
         )
-        if self._engine_mode == "vectorized":
+        if self._cache_batch is not None:
             registry.counter("fastpath.quantum_runs").set_total(
                 self.quantum_runs
             )
             registry.counter("fastpath.quantum_accesses").set_total(
                 self.quantum_accesses
             )
-            if self._cache_batch is not None:
-                registry.counter("numa.batch_dram_probes").set_total(
-                    self._cache_batch.batch_dram_probes
-                )
-                registry.counter("numa.batch_snapshot_rebuilds").set_total(
-                    self._cache_batch.snapshot_rebuilds
-                )
+            registry.counter("numa.batch_dram_probes").set_total(
+                self._cache_batch.batch_dram_probes
+            )
+            registry.counter("numa.batch_snapshot_rebuilds").set_total(
+                self._cache_batch.snapshot_rebuilds
+            )
 
     def _result(self) -> DatacenterResult:
         if self._cache_batch is not None:

@@ -1,10 +1,10 @@
-"""The vectorized batched translation engine (the simulation fast path).
+"""The batched translation engine (the simulation fast path).
 
-:func:`run_vectorized` replays a trace through the TLB hierarchy in
-numpy chunks instead of one Python int at a time.  Per chunk it decides
-— exactly, via :class:`~repro.mmu.tlb_array.ArrayTlb`'s offline LRU
-computation — which accesses hit L1 (zero cycles), which hit L2, and
-which are full misses.  The misses are then *batch-walked*
+:class:`BatchedEngine` resolves one process's accesses through its TLB
+hierarchy in numpy chunks instead of one Python int at a time.  Per
+chunk it decides — exactly, via :class:`~repro.mmu.tlb_array.ArrayTlb`'s
+offline LRU computation — which accesses hit L1 (zero cycles), which
+hit L2, and which are full misses.  The misses are then *batch-walked*
 (:mod:`repro.mmu.walk_batch`): walk outcomes are predicted from first
 touch, so predicted hits are not re-probed, and the walkers' cache-line
 streams are resolved with vectorized gathers (cuckoo-way addresses,
@@ -12,13 +12,21 @@ radix node memos) per insert-separated HPT segment or drain-separated
 radix segment, then probed against array mirrors of the cache
 hierarchy; only accesses that mutate simulator state — demand faults,
 with their kicks, resizes and allocations — run through the real fault
-handler, in global trace order.  Results are
-**bit-identical** to
-:class:`~repro.sim.simulator.TranslationSimulator`'s scalar loop: every
-``PerformanceResult`` field, every TLB/cache/walker counter, metrics
-snapshots, abort/warmup accounting, and — when a trace sink is attached
-— the traced event stream byte-for-byte (property-tested in
-``tests/test_sim_fastpath.py`` and ``tests/test_obs_trace_equivalence.py``).
+handler, in global trace order.
+
+Two callers share the engine.  :func:`run_vectorized` streams a
+single-process trace through it chunk by chunk and adds what only a
+single-process run has: the warmup snapshot, the invariant-check
+cadence, traced event synthesis and abort recording.
+:class:`~repro.sim.quantum.QuantumEngine` feeds it one scheduling
+quantum per call.  Results are **bit-identical** to the scalar loops
+(:class:`~repro.sim.simulator.TranslationSimulator`'s and
+:meth:`~repro.kernel.process.Process.run_quantum`): every result field,
+every TLB/cache/walker counter, final TLB contents, metrics snapshots,
+abort/warmup accounting, and — when a trace sink is attached — the
+traced event stream byte-for-byte (property-tested in
+``tests/test_sim_fastpath.py``, ``tests/test_sim_quantum.py`` and
+``tests/test_obs_trace_equivalence.py``).
 
 What makes exactness possible:
 
@@ -41,6 +49,10 @@ What makes exactness possible:
   deferred across fault boundaries and batched per chunk.
 * Cycle totals are integer-valued floats below 2**53, so batched sums
   equal the scalar engine's one-by-one accumulation exactly.
+* An access aborted by the fault handler has only looked its TLBs up,
+  and a lookup miss changes no LRU state, so the TLB contents after an
+  abort are those after the completed prefix: the engine rewinds its
+  mirrors to the chunk start and re-probes the prefix.
 
 Event tracing composes with this engine: the scalar engine's per-access
 events (``walk_start``/``walk_end``/``tlb_miss``/``measure_start``) are
@@ -51,50 +63,42 @@ machinery.  The synthesized emit-call sequence equals the scalar
 engine's, so per-kind sampling counters, sequence numbers and therefore
 the JSONL/ring-buffer output are byte-identical.
 
-Ordering contract for invariant checks (satellite of PR 7): the scalar
-engine checks invariants after every ``invariant_check_every``-th
-access; this engine performs the same *set* of checks against the same
-page-table states — faults are the only mutations and checks are
-caught up before each fault and at chunk end — so any check that fails
-in one engine fails in the other with the same ``progress`` value.  The
-only divergence is *when* a failing check raises relative to hit-only
-accesses between two faults: the vectorized engine may execute those
-accesses (and, when tracing, emit later walks' events) before the
-deferred check fires.  Counters and traces of *completed* runs are
-unaffected; only the partial state observed after an uncaught
-``SimulationError`` differs.
+Ordering contract for invariant checks: the scalar engine checks
+invariants after every ``invariant_check_every``-th access; this engine
+performs the same *set* of checks against the same page-table states —
+faults are the only mutations and checks are caught up around each
+miss and at chunk end — so any check that fails in one engine fails in
+the other with the same ``progress`` value.  The only divergence is
+*when* a failing check raises relative to hit-only accesses between two
+faults: the vectorized engine may execute those accesses (and, when
+tracing, emit later walks' events) before the deferred check fires.
+Counters and traces of *completed* runs are unaffected; only the
+partial state observed after an uncaught ``SimulationError`` differs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.common.errors import ContiguousAllocationError
+from repro.common.errors import ContiguousAllocationError, MEHPTError
 from repro.faults.log import EVENT_ABORT
 from repro.hashing.clustered import PAGE_SHIFT
 from repro.hashing.hashes import mix64_array
 from repro.kernel.address_space import AddressSpace
 from repro.kernel.thp import PAGES_PER_2M, REGION_SHIFT
 from repro.mmu.tlb_array import ArrayTlb
-from repro.mmu.walk_batch import make_walk_batch
+from repro.mmu.walk_batch import CacheBatch, WalkFlush, make_walk_batch
 from repro.obs.trace import (
     EVENT_MEASURE_START,
     EVENT_TLB_MISS,
     EVENT_WALK_END,
     EVENT_WALK_START,
 )
-from repro.sim.simulator import (
-    ABORT_ERRORS,
-    LoopOutcome,
-    check_system_invariants,
-)
 
 #: Default trace events per engine chunk.
 DEFAULT_CHUNK_VALUES = 65536
-
-_REGION_SHIFT = REGION_SHIFT
 
 
 class StaticThpSizer:
@@ -121,14 +125,14 @@ class StaticThpSizer:
         codes = np.zeros(chunk.size, dtype=np.int64)
         if not self.enabled:
             return codes
-        regions = chunk >> np.int64(_REGION_SHIFT)
+        regions = chunk >> np.int64(REGION_SHIFT)
         uniq, inverse = np.unique(regions, return_inverse=True)
         # The policy's deterministic per-region coin, bit-exactly.
         draw = (mix64_array(uniq, self.seed) >> np.uint64(11)).astype(
             np.float64
         ) / float(1 << 53)
         backed = draw < self.coverage
-        base = uniq << np.int64(_REGION_SHIFT)
+        base = uniq << np.int64(REGION_SHIFT)
         covered = np.zeros(uniq.size, dtype=bool)
         for start, end in self._vmas:
             covered |= (base >= start) & (base + PAGES_PER_2M <= end)
@@ -169,40 +173,200 @@ def _apply_counters(
     tlb.faults += int(per_level[3])
 
 
+class BatchedEngine:
+    """Suspendable batched translation state for one process.
+
+    Holds :class:`~repro.mmu.tlb_array.ArrayTlb` mirrors of the
+    process's L1/L2 TLBs, its :class:`StaticThpSizer`, its walk batcher
+    and an optional NUMA hook.  The state survives between
+    :meth:`run_chunk` calls, so a chunk can be a slice of a streamed
+    trace or one scheduling quantum.
+
+    ``caches`` shares one cache mirror across several engines (the
+    datacenter's :class:`~repro.mmu.walk_batch.NumaCacheBatch`, written
+    back by its owner); by default the engine owns a private one.
+    ``machine`` is the datacenter machine whose per-socket walk counters
+    each drain charges, or None.
+    """
+
+    def __init__(
+        self, system, caches: Optional[CacheBatch] = None, machine=None
+    ) -> None:
+        tlb = system.tlb
+        self.system = system
+        self.machine = machine
+        self.sizes = list(tlb.l1.keys())
+        self.sizer = StaticThpSizer(system.address_space, self.sizes)
+        self.l2_probe_cycles = tlb.l2_miss_probe_cycles
+        self._shifts = [PAGE_SHIFT[size] for size in self.sizes]
+        self._l2_hit_cycles = [tlb.l2[size].hit_cycles for size in self.sizes]
+        self.l1_arr = {size: ArrayTlb.from_tlb(t) for size, t in tlb.l1.items()}
+        self.l2_arr = {size: ArrayTlb.from_tlb(t) for size, t in tlb.l2.items()}
+        self._owns_caches = caches is None
+        self.batcher = make_walk_batch(system, self.sizes, caches=caches)
+        #: The last chunk's per-access resolutions (0 = L1 hit, 1 = L2
+        #: hit, 2 = walk, 3 = fault) and cycles, and the chunk index of
+        #: the access that aborted it (-1 = none).
+        self.level = self.cycles = None
+        self.aborted_at = -1
+
+    def _probe(self, chunk: np.ndarray, stream: np.ndarray):
+        """Run ``chunk`` through the per-size L1/L2 mirrors.
+
+        Returns each access's resolution level and cycles so far (L2
+        hits only; walks are charged at drain).
+        """
+        n = int(chunk.size)
+        level = np.zeros(n, dtype=np.int8)
+        cycles = np.zeros(n, dtype=np.int64)
+        for code, size in enumerate(self.sizes):
+            if self.sizer.enabled:
+                idx = np.flatnonzero(stream == code)
+            elif code == 0:
+                idx = np.arange(n, dtype=np.int64)  # all accesses are 4K
+            else:
+                break
+            if idx.size == 0:
+                continue
+            numbers = chunk[idx] >> np.int64(self._shifts[code])
+            l1_hit = self.l1_arr[size].batch_probe(numbers)
+            l1_miss = idx[~l1_hit]
+            l2_hit = self.l2_arr[size].batch_probe(numbers[~l1_hit])
+            hit2 = l1_miss[l2_hit]
+            level[hit2] = 1
+            cycles[hit2] = self._l2_hit_cycles[code]
+            level[l1_miss[~l2_hit]] = 2
+        return level, cycles
+
+    def run_chunk(
+        self,
+        chunk: np.ndarray,
+        around_miss: Optional[Callable[[int], None]] = None,
+        on_flush: Optional[Callable[[WalkFlush], None]] = None,
+    ) -> None:
+        """Resolve ``chunk`` exactly as the scalar loop would.
+
+        The misses are planned in trace order.  Before a planned fault
+        the batcher seals its pending walks if the fault inserts a
+        cuckoo line; then the real fault handler runs.  Pending walks
+        are drained at the end and the chunk's TLB counters applied;
+        :attr:`level` and :attr:`cycles` hold the per-access results.
+
+        ``around_miss(local)`` runs before each miss and
+        ``around_miss(local + 1)`` after it (the invariant cadence).
+        With ``on_flush`` every drain passes its
+        :class:`~repro.mmu.walk_batch.WalkFlush` to it, and pending
+        walks are drained before every fault instead of sealed, so
+        traced fault-path events land at the right clock.
+
+        If the fault handler (or a hook) raises a model error, the
+        prefix is settled before it propagates: pending walks are
+        drained, counters cover the accesses through :attr:`aborted_at`
+        (whose lookups all missed), and the TLB mirrors are rewound to
+        the chunk start, re-probed with the completed accesses and
+        written back.
+        """
+        stream = self.sizer.codes(chunk)
+        mirrors = [*self.l1_arr.values(), *self.l2_arr.values()]
+        saved = [(arr.tags.copy(), arr.ages.copy()) for arr in mirrors]
+        level, cycles = self._probe(chunk, stream)
+        self.level, self.cycles = level, cycles
+        self.aborted_at = -1
+        batcher = self.batcher
+        sizes = self.sizes
+        fault_fn = self.system.address_space.handle_fault
+        counted = int(chunk.size)
+        local = -1
+        try:
+            misses = np.flatnonzero(level >= 2)
+            for local, vpn, code in zip(
+                misses.tolist(), chunk[misses].tolist(), stream[misses].tolist()
+            ):
+                if around_miss is not None:
+                    around_miss(local)
+                if batcher.plan(local, vpn, code):
+                    if on_flush is None:
+                        batcher.before_fault()
+                    else:
+                        self._drain(on_flush)
+                    level[local] = 3
+                    fault = fault_fn(vpn)
+                    batcher.after_fault()
+                    assert fault.page_size == sizes[code], (
+                        "static page-size prediction diverged from the kernel"
+                    )
+                if around_miss is not None:
+                    around_miss(local + 1)
+            self._drain(on_flush)
+        except MEHPTError:
+            self.aborted_at = local
+            counted = local + 1
+            self._drain(on_flush)
+            for arr, (tags, ages) in zip(mirrors, saved):
+                arr.tags, arr.ages = tags, ages
+            self._probe(chunk[:local], stream[:local])
+            self.write_back()
+            raise
+        finally:
+            _apply_counters(
+                self.system.tlb, sizes, level[:counted], stream[:counted]
+            )
+
+    def _drain(self, on_flush) -> None:
+        """Flush pending walks: scatter cycles, charge the NUMA hook."""
+        result = self.batcher.flush()
+        if result is None:
+            return
+        self.cycles[result.locals_] = self.l2_probe_cycles + result.cycles
+        machine = self.machine
+        if machine is not None:
+            # Replicates translate()'s per-walk on_walk(walk.cycles):
+            # the active socket is fixed for the whole chunk and walk
+            # cycles are integer-valued, so the batched sum is exact.
+            socket = machine.active_socket
+            machine.walks_by_socket[socket] += int(result.locals_.size)
+            machine.walk_cycles_by_socket[socket] += float(result.cycles.sum())
+        if on_flush is not None:
+            on_flush(result)
+
+    def write_back(self) -> None:
+        """Install the TLB mirrors (and an owned cache mirror) for real."""
+        tlb = self.system.tlb
+        for size in self.sizes:
+            self.l1_arr[size].write_back(tlb.l1[size])
+            self.l2_arr[size].write_back(tlb.l2[size])
+        if self._owns_caches:
+            self.batcher.caches.write_back()
+
+
 def run_vectorized(
     system,
     workload,
     trace_length: int,
     warmup_events: int,
     chunk_values: Optional[int] = None,
-) -> LoopOutcome:
+):
     """Run the trace through ``system`` with the batched engine.
 
     Mirrors the scalar loop of
     :meth:`~repro.sim.simulator.TranslationSimulator.run` exactly —
     counters, cycles, warmup snapshot, abort accounting, invariant
-    checks and traced events — and returns the same :class:`LoopOutcome`.
+    checks, traced events and final TLB contents — and returns the same
+    :class:`~repro.sim.simulator.LoopOutcome`.
     """
+    # Lazy: repro.sim.simulator imports repro.sim.results, whose
+    # datacenter results pull in repro.sim.quantum and so this module.
+    from repro.sim.simulator import (
+        ABORT_ERRORS,
+        LoopOutcome,
+        check_system_invariants,
+    )
+
+    engine = BatchedEngine(system)
     tlb = system.tlb
-    aspace = system.address_space
-    config = system.config
     obs = system.obs
     tracer_on = obs is not None and obs.tracer is not None
-    sizes = list(tlb.l1.keys())
-    sizer = StaticThpSizer(aspace, sizes)
-    shifts = [PAGE_SHIFT[size] for size in sizes]
-    l2_hit_cycles = [tlb.l2[size].hit_cycles for size in sizes]
-    l2_probe_cycles = tlb.l2_miss_probe_cycles
-    l1_arr: Dict[str, ArrayTlb] = {
-        size: ArrayTlb.from_tlb(t) for size, t in tlb.l1.items()
-    }
-    l2_arr: Dict[str, ArrayTlb] = {
-        size: ArrayTlb.from_tlb(t) for size, t in tlb.l2.items()
-    }
-    batcher = make_walk_batch(system, sizes)
-    walk_fn = system.walker.walk
-    fault_fn = aspace.handle_fault
-    check_every = config.invariant_check_every
+    check_every = system.config.invariant_check_every
     next_check = check_every
     boundary = warmup_events - 1  # global index completing the warmup
     warm_taken = warmup_events == 0
@@ -217,34 +381,24 @@ def run_vectorized(
         n = int(chunk.size)
         before_cycles = outcome.total_cycles
         before = (tlb.l1_hits, tlb.l2_hits, tlb.walks, tlb.faults)
-        stream = sizer.codes(chunk)
-        level = np.zeros(n, dtype=np.int8)
-        cycles = np.zeros(n, dtype=np.int64)
-        for code, size in enumerate(sizes):
-            if sizer.enabled:
-                idx = np.flatnonzero(stream == code)
-            elif code == 0:
-                idx = np.arange(n, dtype=np.int64)  # all accesses are 4K
-            else:
-                break
-            if idx.size == 0:
-                continue
-            numbers = chunk[idx] >> np.int64(shifts[code])
-            l1_hit = l1_arr[size].batch_probe(numbers)
-            l1_miss = idx[~l1_hit]
-            l2_hit = l2_arr[size].batch_probe(numbers[~l1_hit])
-            hit2 = l1_miss[l2_hit]
-            level[hit2] = 1
-            cycles[hit2] = l2_hit_cycles[code]
-            level[l1_miss[~l2_hit]] = 2
 
         def _warm_snapshot(prefix: int) -> None:
             """Record the warmup boundary from this chunk's prefix."""
-            outcome.warm_cycles = before_cycles + float(cycles[:prefix].sum())
-            outcome.warm_l1 = before[0] + int((level[:prefix] == 0).sum())
-            outcome.warm_l2 = before[1] + int((level[:prefix] == 1).sum())
-            outcome.warm_walks = before[2] + int((level[:prefix] >= 2).sum())
-            outcome.warm_faults = before[3] + int((level[:prefix] == 3).sum())
+            level = engine.level[:prefix]
+            outcome.warm_cycles = before_cycles + float(
+                engine.cycles[:prefix].sum()
+            )
+            outcome.warm_l1 = before[0] + int((level == 0).sum())
+            outcome.warm_l2 = before[1] + int((level == 1).sum())
+            outcome.warm_walks = before[2] + int((level >= 2).sum())
+            outcome.warm_faults = before[3] + int((level == 3).sum())
+
+        def _catch_up(limit: int) -> None:
+            """Run the invariant checks due before chunk index ``limit``."""
+            nonlocal next_check
+            while next_check and next_check < base + limit:
+                check_system_invariants(system, next_check)
+                next_check += check_every
 
         # -- traced-mode clock / event synthesis -------------------------
         # Events of access i carry the clock at the access's start: the
@@ -252,13 +406,13 @@ def run_vectorized(
         # the scalar loop stamps them.  ``emit_state`` tracks how far
         # the per-access cycle prefix sum has been folded in; cycles of
         # batched walks are final before any event referencing them is
-        # emitted (the flush scatters them first).
+        # emitted (the drain scatters them first).
         boundary_local = boundary - base
         emit_state = [0, 0.0]  # [accesses folded into the sum, their sum]
 
         def _clock_before(local: int) -> int:
             if local > emit_state[0]:
-                emit_state[1] += float(cycles[emit_state[0]:local].sum())
+                emit_state[1] += float(engine.cycles[emit_state[0]:local].sum())
                 emit_state[0] = local
             return int(before_cycles + emit_state[1])
 
@@ -273,96 +427,33 @@ def run_vectorized(
                 obs.emit(EVENT_MEASURE_START, event=warmup_events)
                 measure_emitted = True
 
-        def _emit_walk(local, walk_id, vpn, walk_cycles, accesses, is_fault):
-            _measure_before(local)
-            obs.advance_clock(_clock_before(local))
-            obs.emit(EVENT_WALK_START, walk=walk_id, vpn=vpn)
-            obs.emit(
-                EVENT_WALK_END, walk=walk_id, cycles=walk_cycles,
-                accesses=accesses,
-            )
-            obs.emit(
-                EVENT_TLB_MISS, vpn=vpn,
-                level="fault" if is_fault else "walk",
-                cycles=l2_probe_cycles + walk_cycles,
-            )
+        def _emit_walks(result: WalkFlush) -> None:
+            """Emit the drained walks' events in per-access order."""
+            l2_probe_cycles = engine.l2_probe_cycles
+            for j in range(result.locals_.size):
+                local = int(result.locals_[j])
+                vpn = result.vpns[j]
+                walk_cycles = int(result.cycles[j])
+                _measure_before(local)
+                obs.advance_clock(_clock_before(local))
+                obs.emit(EVENT_WALK_START, walk=result.walk_ids[j], vpn=vpn)
+                obs.emit(
+                    EVENT_WALK_END, walk=result.walk_ids[j],
+                    cycles=walk_cycles, accesses=int(result.accesses[j]),
+                )
+                obs.emit(
+                    EVENT_TLB_MISS, vpn=vpn,
+                    level="fault" if result.faults[j] else "walk",
+                    cycles=l2_probe_cycles + walk_cycles,
+                )
 
-        def _drain() -> None:
-            """Probe pending batched walks; scatter cycles, emit events."""
-            if batcher is None:
-                return
-            result = batcher.flush()
-            if result is None:
-                return
-            cycles[result.locals_] = l2_probe_cycles + result.cycles
-            if tracer_on:
-                for j in range(result.locals_.size):
-                    _emit_walk(
-                        int(result.locals_[j]), result.walk_ids[j],
-                        result.vpns[j], int(result.cycles[j]),
-                        int(result.accesses[j]), result.faults[j],
-                    )
-
-        aborted_at = -1
         try:
-            misses = np.flatnonzero(level >= 2)
-            for local, vpn, code in zip(
-                misses.tolist(), chunk[misses].tolist(), stream[misses].tolist()
-            ):
-                index = base + local
-                while next_check and next_check < index:
-                    check_system_invariants(system, next_check)
-                    next_check += check_every
-                aborted_at = local
-                if batcher is not None:
-                    if batcher.plan(local, vpn, code):
-                        # Demand fault, run through the real handler in
-                        # trace order.  The batcher seals its pending
-                        # walks first only if the fault inserts a cuckoo
-                        # line (radix walks seal at drain); traced runs
-                        # drain so fault-path events land at the right
-                        # clock.
-                        if tracer_on:
-                            _drain()
-                        else:
-                            batcher.before_fault()
-                        level[local] = 3
-                        fault = fault_fn(vpn)
-                        batcher.after_fault()
-                        assert fault.page_size == sizes[code], (
-                            "static page-size prediction diverged from the kernel"
-                        )
-                else:
-                    # No batched implementation for this walker/cache
-                    # geometry: scalar walker per miss, still exact.
-                    if tracer_on:
-                        _measure_before(local)
-                        obs.advance_clock(_clock_before(local))
-                    walk = walk_fn(vpn)
-                    cycles[local] = l2_probe_cycles + walk.cycles
-                    if tracer_on:
-                        obs.emit(
-                            EVENT_TLB_MISS, vpn=vpn,
-                            level="fault" if walk.fault else "walk",
-                            cycles=int(l2_probe_cycles + walk.cycles),
-                        )
-                    if walk.fault:
-                        level[local] = 3
-                        fault = fault_fn(vpn)
-                        assert fault.page_size == sizes[code], (
-                            "static page-size prediction diverged from the kernel"
-                        )
-                    elif walk.page_size is not None:
-                        assert walk.page_size == sizes[code], (
-                            "static page-size prediction diverged from the walker"
-                        )
-                if next_check and next_check == index:
-                    check_system_invariants(system, index)
-                    next_check += check_every
-            _drain()
-            while next_check and next_check <= base + n - 1:
-                check_system_invariants(system, next_check)
-                next_check += check_every
+            engine.run_chunk(
+                chunk,
+                around_miss=_catch_up if check_every else None,
+                on_flush=_emit_walks if tracer_on else None,
+            )
+            _catch_up(n)
         except ABORT_ERRORS as exc:
             outcome.failed = True
             outcome.reason = str(exc)
@@ -370,31 +461,22 @@ def run_vectorized(
                 system.degradation.record(
                     EVENT_ABORT, "trace", error=type(exc).__name__,
                 )
-            # Finalize the pending batched walks (all planned at or
-            # before the aborting access) so their cycles and cache
-            # counters are exact.  In traced mode this is a no-op: the
-            # drain already ran before the fault handler raised.
-            _drain()
-            done = aborted_at + 1  # aborting access counted, not completed
+            aborted_at = engine.aborted_at
             outcome.events_done = base + aborted_at
-            _apply_counters(tlb, sizes, level[:done], stream[:done])
-            outcome.total_cycles += float(cycles[:done].sum())
-            # The aborting access never *completes* (the scalar loop's
-            # events_done stops just before it), so the warmup window is
-            # only closed when the boundary access lies strictly before
-            # it — `boundary < base + aborted_at` is events_done-based,
+            # The aborting access is counted but never completes.
+            outcome.total_cycles += float(engine.cycles[:aborted_at + 1].sum())
+            # The scalar loop's events_done stops just before the
+            # aborting access, so the warmup window is only closed when
+            # the boundary access lies strictly before it —
+            # `boundary < base + aborted_at` is events_done-based,
             # intentionally one tighter than the clean path's
             # `boundary < base + n`.  An abort exactly at the boundary
             # leaves the run inside warmup, as in the scalar engine.
             if not warm_taken and boundary < base + aborted_at:
                 _warm_snapshot(boundary - base + 1)
-                warm_taken = True
-            if batcher is not None:
-                batcher.caches.write_back()
             return outcome
 
-        _apply_counters(tlb, sizes, level, stream)
-        outcome.total_cycles += float(cycles.sum())
+        outcome.total_cycles += float(engine.cycles.sum())
         if not warm_taken and boundary < base + n:
             _warm_snapshot(boundary - base + 1)
             warm_taken = True
@@ -406,16 +488,7 @@ def run_vectorized(
         base += n
         outcome.events_done = base
 
-    # Clean completion: the array states are the TLB contents after the
-    # last access — install them so post-run inspection (and equivalence
-    # tests) see exactly what the scalar engine leaves behind.  After an
-    # abort the arrays hold full-chunk (future) state, so they are
-    # deliberately not written back; aborted runs' TLB *contents* are
-    # unspecified, their counters exact.  (The cache mirrors *are*
-    # written back on abort: they only ever advance walk by walk.)
-    for size in sizes:
-        l1_arr[size].write_back(tlb.l1[size])
-        l2_arr[size].write_back(tlb.l2[size])
-    if batcher is not None:
-        batcher.caches.write_back()
+    # The mirrors hold the TLB contents after the last access; install
+    # them so post-run inspection sees what the scalar engine leaves.
+    engine.write_back()
     return outcome

@@ -84,20 +84,17 @@ class MultiProcessSimulator:
                 )
             )
         # Engine selection (SimulationConfig.engine): per-process
-        # vectorized quantum engines with private cache mirrors.  Traced
-        # runs keep the scalar loop — per-access event synthesis under
-        # round-robin scheduling is not implemented here — and so does
-        # any walker/cache geometry without a batched implementation.
+        # batched quantum engines with private cache mirrors.  Traced
+        # runs keep the scalar loop: per-access event synthesis under
+        # round-robin scheduling is not implemented here.
         self._engines: Dict[int, QuantumEngine] = {}
         if config.resolve_engine() == "vectorized" and not config.tracing_enabled():
-            engines = {
+            self._engines = {
                 i: QuantumEngine(process, system)
                 for i, (process, system) in enumerate(
                     zip(self.processes, self._systems)
                 )
             }
-            if all(engine.supported for engine in engines.values()):
-                self._engines = engines
 
     def _run_quantum(self, index: int, process: Process) -> float:
         """One quantum through the selected engine."""

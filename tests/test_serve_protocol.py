@@ -105,6 +105,28 @@ class TestRejections:
         (_body(events={"sample_every": 0}), ">= 1"),
         (_body(events={"weird": 1}), "unknown keys"),
         ({"kind": "selftest", "duration_seconds": 1e9}, "duration_seconds"),
+        (_body(overrides={"fmfi": "0.5"}), "must be a number"),
+        (_body(overrides={"fmfi": True}), "must be a number"),
+        (_body(overrides={"fmfi": None}), "must be a number"),
+        (_body(overrides={"scale": "16"}), "must be an integer"),
+        (_body(overrides={"scale": 16.0}), "must be an integer"),
+        (_body(overrides={"thp_enabled": 1}), "must be a boolean"),
+        (_body(overrides={"engine": 0}), "must be a string"),
+        (_body(overrides={"chunk_sizes": 4096}), "not an overridable"),
+        (_body(kind="datacenter", overrides={"dc_sockets": "2"}),
+         "dc_sockets must be an integer"),
+        (_body(kind="datacenter", overrides={"dc_sockets": 2.5}),
+         "dc_sockets must be an integer"),
+        (_body(kind="datacenter", overrides={"dc_sockets": True}),
+         "dc_sockets must be an integer"),
+        (_body(kind="datacenter",
+               overrides={"dc_remote_dram_delta": float("nan")}),
+         "dc_remote_dram_delta"),
+        (_body(kind="datacenter", overrides={"dc_remote_dram_delta": 120.5}),
+         "whole number"),
+        (_body(kind="datacenter",
+               overrides={"dc_frag_fraction": float("inf")}),
+         "dc_frag_fraction"),
     ])
     def test_bad_payload_raises_protocol_error(self, payload, fragment):
         with pytest.raises(ProtocolError) as excinfo:

@@ -77,6 +77,19 @@ class TestParams:
             dict(remote_dram_delta=-1.0),
             dict(pool_mb=0),
             dict(frag_fraction=1.0),
+            dict(remote_dram_delta=120.5),
+            dict(remote_dram_delta=float("nan")),
+            dict(remote_dram_delta=float("inf")),
+            dict(remote_dram_delta="120"),
+            dict(sockets="2"),
+            dict(sockets=2.5),
+            dict(sockets=2.0),
+            dict(processes=True),
+            dict(quantum=None),
+            dict(policy=1),
+            dict(frag_fraction=float("nan")),
+            dict(frag_fraction=float("-inf")),
+            dict(frag_fraction=False),
         ):
             with pytest.raises(ConfigurationError):
                 DatacenterParams(**bad).validate()

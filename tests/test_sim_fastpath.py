@@ -3,7 +3,8 @@
 The contract under test: for every organization, workload, warmup
 fraction, chunk size and abort scenario, ``engine="vectorized"`` and
 ``engine="scalar"`` produce the *same* ``PerformanceResult`` — dataclass
-equality, every field — and identical final TLB contents on clean runs.
+equality, every field — and identical final TLB contents, aborted runs
+included.
 """
 
 import tracemalloc
@@ -77,16 +78,17 @@ class TestEngineEquivalence:
     def test_aborted_run_bit_identical(self, chunk):
         # ecpt at fmfi 0.75 hits the paper's contiguous-allocation
         # failure mid-trace; the prefix accounting must match exactly.
-        scalar, _ = run_engine(
+        scalar, s_sys = run_engine(
             "scalar", org="ecpt", scale=512, n=30_000, warmup=0.1,
             chunk=chunk, fmfi=0.75,
         )
-        vector, _ = run_engine(
+        vector, v_sys = run_engine(
             "vectorized", org="ecpt", scale=512, n=30_000, warmup=0.1,
             chunk=chunk, fmfi=0.75,
         )
         assert scalar.failed and vector.failed
         assert scalar == vector
+        assert tlb_contents(s_sys) == tlb_contents(v_sys)
 
     def test_invariant_checks_run_in_vectorized_mode(self):
         scalar, _ = run_engine("scalar", invariant_check_every=777)

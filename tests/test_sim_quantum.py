@@ -4,9 +4,9 @@ The vectorized quantum engine must be a pure performance change: for
 every (organization, policy, quantum, churn, seed) cell the datacenter
 and multi-process simulators must produce byte-identical results,
 metrics snapshots, event streams and final TLB contents under either
-engine.  These tests pin that contract, the scan-skip optimisation's
-determinism, the adversarial tenant-storm replay, and the sweep cache's
-deliberate engine-independence.
+engine, aborted runs included.  These tests pin that contract, the
+scan-skip optimisation's determinism, the adversarial tenant-storm
+replay, and the sweep cache's deliberate engine-independence.
 """
 
 import dataclasses
@@ -83,7 +83,7 @@ class TestDatacenterBitIdentity:
     def test_grid_cell_identical(self, org, policy, quantum, churn, seed):
         s_sim, s = dc_run("scalar", org, policy, quantum, churn, seed)
         v_sim, v = dc_run("vectorized", org, policy, quantum, churn, seed)
-        assert v_sim._engine_mode == "vectorized"
+        assert all(t.engine is not None for t in v_sim.tenants)
         assert v_sim.quantum_runs > 0
         assert not s.failed and not v.failed
         assert s.to_dict() == v.to_dict()
@@ -155,16 +155,8 @@ class TestDatacenterBitIdentity:
         assert v_sim.quantum_runs > 0  # the abort hit the vectorized path
         assert 0 < s.accesses  # ... mid-run, not at the initial build
         assert s.to_dict() == v.to_dict()
-
-    def test_non_integral_delta_falls_back_to_scalar(self):
-        # Batched int64 latency sums are only exact for integral deltas;
-        # the simulator silently demotes to scalar quanta and results
-        # stay identical by construction.
-        s_sim, s = dc_run("scalar", remote_dram_delta=120.5)
-        v_sim, v = dc_run("vectorized", remote_dram_delta=120.5)
-        assert v_sim._engine_mode == "scalar"
-        assert all(t.engine is None for t in v_sim.tenants)
-        assert s.to_dict() == v.to_dict()
+        for ts, tv in zip(s_sim.tenants, v_sim.tenants):
+            assert tlb_state(ts.system) == tlb_state(tv.system), ts.name
 
     def test_tenant_storm_replay_identical(self, tmp_path):
         # The adversarial tenancy-churn stressor from the fuzz corpus,
@@ -282,17 +274,6 @@ class TestSweepCacheEngineIndependence:
 
 
 class TestEngineUnit:
-    def test_unsupported_geometry_reported(self):
-        # A walker with no batched implementation leaves the engine
-        # unsupported; callers must fall back to scalar quanta.
-        from repro.workloads import get_workload
-
-        config = dc_config("mehpt", engine="vectorized")
-        workload = get_workload("GUPS", scale=SCALE, seed=1)
-        system = config.build(workload)
-        engine = QuantumEngine(object(), system)
-        assert engine.supported  # mehpt is batched; sanity-check the API
-
     def test_finalize_is_idempotent(self):
         from repro.kernel.process import Process
         from repro.workloads import get_workload
