@@ -92,11 +92,14 @@ class AddressSpace:
     ``page_tables`` is duck-typed: radix
     (:class:`~repro.radix.table.RadixPageTable`) and hashed
     (:class:`~repro.ecpt.tables.HashedPageTableSet`) organizations both
-    provide ``map``/``translate``.  ``pt_allocation_cycles_fn`` reports
-    the organization's cumulative page-table allocation cycles so the
-    fault handler can charge deltas; pass None for organizations whose
-    allocations are folded into the fault overhead (radix: one 4KB node
-    at a time).
+    provide ``map``/``translate``.  :meth:`handle_fault` bills the
+    page-table allocation a fault causes in one of two ways.  When the
+    tables have an ``allocation_cycles()`` method (the hashed tables'
+    cumulative allocator total), the fault is charged that total's
+    growth across ``map``.  When ``map`` returns a positive node count
+    (radix), each new node is charged as one 4KB allocation from the
+    cost model at the configured FMFI (capped at the model's
+    ``fail_fmfi``).
     """
 
     def __init__(

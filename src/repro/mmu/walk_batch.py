@@ -50,7 +50,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
 from repro.common.units import CACHE_LINE
 from repro.ecpt.walker import EcptWalker, _PROBE_ORDER
 from repro.hashing.clustered import PAGE_SHIFT, PAGES_PER_BLOCK
@@ -716,10 +715,12 @@ class RadixWalkBatch(HptWalkBatch):
 def make_walk_batch(system, sizes: List[str], caches: Optional[CacheBatch] = None):
     """Build the walk batcher for ``system``'s walker.
 
-    Every system :meth:`~repro.sim.config.SimulationConfig.build`
-    assembles has one: its walker is an :class:`EcptWalker` (ME-HPT's
-    included) or a :class:`RadixWalker`, over a cache hierarchy whose
-    set counts are powers of two.
+    The system's organization names the batcher class
+    (``system.org.walk_batch``, see :mod:`repro.sim.organizations`):
+    :class:`HptWalkBatch` for ECPT and ME-HPT walkers,
+    :class:`RadixWalkBatch` for radix.  Every system
+    :meth:`~repro.sim.config.SimulationConfig.build` assembles has one,
+    over a cache hierarchy whose set counts are powers of two.
 
     ``caches`` lets callers share one cache mirror across several
     batchers — the datacenter quantum engine passes a single
@@ -728,8 +729,4 @@ def make_walk_batch(system, sizes: List[str], caches: Optional[CacheBatch] = Non
     walker = system.walker
     if caches is None:
         caches = CacheBatch(walker.caches)
-    if isinstance(walker, RadixWalker):
-        return RadixWalkBatch(walker, caches, sizes)
-    if isinstance(walker, EcptWalker):
-        return HptWalkBatch(walker, caches, sizes)
-    raise ConfigurationError(f"no batched walks for {type(walker).__name__}")
+    return system.org.walk_batch(walker, caches, sizes)

@@ -10,7 +10,10 @@ component's state into catalogue-validated metrics.
 
 Everything here is duck-typed against the component attributes (``stats``
 objects, lifetime counters) rather than against the classes, so the
-module imports nothing from the simulator and stays a leaf.
+module imports nothing from the simulator and stays a leaf.  Which
+page-table collectors a system gets is its organization's choice: each
+object in :mod:`repro.sim.organizations` lists its own (the
+``register_*_tables`` functions here).
 
 All byte quantities are published at full-scale equivalents, matching
 ``MemoryFootprintResult`` (the allocator already accounts at ``scale x``;
@@ -30,12 +33,8 @@ def register_system_metrics(registry: MetricsRegistry, system) -> None:
     _register_walker(registry, system.walker)
     _register_kernel(registry, system.address_space.totals)
     _register_degradation(registry, system.degradation)
-    if system.config.organization == "radix":
-        _register_radix_tables(registry, system.page_tables, scale)
-    else:
-        _register_hashed_tables(registry, system.page_tables, scale)
-        if system.config.organization == "mehpt":
-            _register_mehpt(registry, system.page_tables, scale)
+    for register in system.org.collectors:
+        register(registry, system.page_tables, scale)
 
 
 def _register_alloc(registry: MetricsRegistry, stats) -> None:
@@ -105,14 +104,18 @@ def _register_degradation(registry: MetricsRegistry, log) -> None:
     registry.add_collector(collect)
 
 
-def _register_radix_tables(registry: MetricsRegistry, tables, scale: int) -> None:
+def register_radix_tables(registry: MetricsRegistry, tables, scale: int) -> None:
+    """Radix tree size, at full-scale equivalents."""
+
     def collect(reg: MetricsRegistry) -> None:
         reg.gauge("radix.table_bytes").set(tables.table_bytes() * scale)
 
     registry.add_collector(collect)
 
 
-def _register_hashed_tables(registry: MetricsRegistry, tables, scale: int) -> None:
+def register_hashed_tables(registry: MetricsRegistry, tables, scale: int) -> None:
+    """Per page size and per way cuckoo counters, occupancy and bytes."""
+
     def collect(reg: MetricsRegistry) -> None:
         for page_size, clustered in tables.tables.items():
             table = clustered.table
@@ -158,7 +161,9 @@ def _register_hashed_tables(registry: MetricsRegistry, tables, scale: int) -> No
     registry.add_collector(collect)
 
 
-def _register_mehpt(registry: MetricsRegistry, tables, scale: int) -> None:
+def register_mehpt_tables(registry: MetricsRegistry, tables, scale: int) -> None:
+    """ME-HPT's L2P usage, chunk-size transitions and chunk sizes."""
+
     def collect(reg: MetricsRegistry) -> None:
         reg.gauge("l2p.entries_used").set(tables.l2p_entries_used())
         for page_size, count in tables.chunk_transitions.items():

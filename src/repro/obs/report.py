@@ -26,6 +26,12 @@ How each term is rebuilt:
 * **rehash_moves** — ``run_end``'s relocated-entry count times the
   per-entry move cost.
 
+The event stream only supplies the inputs: the run's organization
+object (looked up by ``run_start``'s organization name in
+:data:`repro.sim.organizations.REGISTRY`) turns them into the four OS
+terms with the same ``os_terms`` method the simulator calls, so the
+report and the simulator cannot disagree on the formula.
+
 ``fault_serviced`` and the resize/run lifecycle events are always
 emitted, so the OS-side terms are exact at any ``trace_sample_every``;
 ``tlb_miss`` is sampled, so the translation term is exact at
@@ -81,8 +87,18 @@ def attribute(events: List[Dict]) -> Dict[str, object]:
             "trace contains no run_start event; was it recorded by "
             "TranslationSimulator with tracing enabled?"
         )
+    # Imported here: repro.sim imports repro.obs, so a module-level
+    # import of the registry would be circular.
+    from repro.sim.organizations import REGISTRY
+
     run_end = first_of_kind(events, EVENT_RUN_END)
     organization = run_start["organization"]
+    org = REGISTRY.get(organization)
+    if org is None:
+        raise ConfigurationError(
+            f"trace names unknown organization {organization!r}; "
+            f"known: {tuple(REGISTRY)}"
+        )
     scale = run_start["scale"]
     sample_every = int(run_start.get("sample_every", 1))
 
@@ -108,21 +124,16 @@ def attribute(events: List[Dict]) -> Dict[str, object]:
     kicks = sum(e["kicks"] for e in fault_events)
     data_alloc = sum(e["data_alloc_cycles"] for e in fault_events)
 
-    rehash_moves = 0.0
-    if organization == "radix":
-        pt_alloc = pt_fault_cycles * scale
-        reinsert = 0.0
-        l2p_exposed = 0.0
-    else:
-        pt_alloc = run_start["pt_alloc_cycles_at_start"] + pt_fault_cycles
-        reinsert = sum(e["reinsert_cycles"] for e in fault_events) * scale
-        relocated = run_end["relocated_entries"] if run_end is not None else 0
-        rehash_moves = relocated * scale * run_start["rehash_entry_cycles"]
-        l2p_exposed = (
-            kicks * scale * run_start["l2p_cycles"]
-            if organization == "mehpt"
-            else 0.0
-        )
+    pt_alloc, reinsert, l2p_exposed, rehash_moves = org.os_terms(
+        alloc_total=run_start["pt_alloc_cycles_at_start"] + pt_fault_cycles,
+        pt_fault_cycles=pt_fault_cycles,
+        reinsert_cycles=sum(e["reinsert_cycles"] for e in fault_events),
+        kicks=kicks,
+        relocated=run_end["relocated_entries"] if run_end is not None else 0,
+        scale=scale,
+        l2p_cycles=run_start["l2p_cycles"],
+        rehash_entry_cycles=run_start["rehash_entry_cycles"],
+    )
 
     events_done = run_end["events_done"] if run_end is not None else 0
     accesses = (

@@ -3,6 +3,9 @@
 * :mod:`repro.sim.config` — the Table III machine parameters and the
   factory that assembles a system (page tables + walker + TLBs + kernel)
   for any organization at any footprint scale.
+* :mod:`repro.sim.organizations` — one object per page-table
+  organization, owning every decision that depends on which one a run
+  uses.
 * :mod:`repro.sim.simulator` — the per-access simulation loop and the
   footprint populator used by the memory experiments.
 * :mod:`repro.sim.fastpath` — the vectorized batched engine

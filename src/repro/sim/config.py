@@ -3,7 +3,8 @@
 :class:`SimulationConfig` carries every knob of the modelled server;
 :meth:`SimulationConfig.build` assembles a :class:`SimulatedSystem` for a
 workload — page tables, walker, TLB hierarchy, and the kernel address
-space — for any of the three organizations.
+space — for any of the three organizations, whose page tables and
+walker come from its object in :mod:`repro.sim.organizations`.
 
 Footprint scaling (``scale``): the workload footprint, the initial HPT
 way (128 entries in Table III), and the chunk ladder are all divided by
@@ -23,13 +24,9 @@ from typing import Dict, Optional, Tuple
 from repro.common.errors import ConfigurationError
 from repro.common.units import CACHE_LINE, KB, MB, is_power_of_two
 from repro.core.chunks import DEFAULT_CHUNK_SIZES, ChunkLadder
-from repro.core.mehpt import MeHptPageTables
-from repro.core.walker import MeHptWalker
-from repro.ecpt.tables import EcptPageTables
 from repro.faults.log import DegradationLog
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoveryPolicy
-from repro.ecpt.walker import EcptWalker
 from repro.kernel.address_space import AddressSpace
 from repro.kernel.thp import ThpPolicy
 from repro.mem.alloc_cost import AllocationCostModel
@@ -38,12 +35,11 @@ from repro.mem.cache import CacheHierarchy, CacheLevel
 from repro.mmu.hierarchy import TlbHierarchy
 from repro.obs import Observability, ObservabilityConfig, build_observability
 from repro.obs.collectors import register_system_metrics
-from repro.radix.pwc import PageWalkCaches
-from repro.radix.table import RadixPageTable
-from repro.radix.walker import RadixWalker
+from repro.sim.organizations import REGISTRY
 from repro.workloads.base import Workload
 
-ORGANIZATIONS = ("radix", "ecpt", "mehpt")
+#: Valid values for :attr:`SimulationConfig.organization`.
+ORGANIZATIONS = tuple(REGISTRY)
 
 #: Valid values for :attr:`SimulationConfig.engine`.
 ENGINES = ("auto", "scalar", "vectorized")
@@ -182,12 +178,6 @@ class SimulationConfig:
                 field="engine", value=self.engine,
             )
 
-    def tracing_enabled(self) -> bool:
-        """Whether an event trace sink (file or ring buffer) is configured."""
-        return self.obs is not None and (
-            self.obs.trace_path is not None or self.obs.trace_buffer is not None
-        )
-
     def resolve_engine(self) -> str:
         """The engine the simulator will actually run: scalar or vectorized.
 
@@ -277,65 +267,9 @@ class SimulationConfig:
                 degradation=degradation,
             )
 
-        if self.organization == "radix":
-            tables = RadixPageTable(levels=self.radix_levels)
-            walker = RadixWalker(
-                tables,
-                caches,
-                pwc=PageWalkCaches(
-                    levels=self.radix_levels,
-                    entries_per_level=self.pwc_entries_per_level,
-                ),
-                obs=obs,
-            )
-        elif self.organization == "ecpt":
-            tables = EcptPageTables(
-                allocator,
-                rng=None,
-                ways=self.ways,
-                initial_slots=self.scaled_initial_slots(),
-                hash_seed=self.seed,
-                upsize_threshold=self.upsize_threshold,
-                downsize_threshold=self.downsize_threshold,
-                rehashes_per_insert=self.rehashes_per_insert,
-                allow_downsize=self.allow_downsize,
-                fault_plan=plan,
-                degradation=degradation,
-                obs=obs,
-            )
-            walker = EcptWalker(
-                tables, caches,
-                pmd_cwc_entries=self.pmd_cwc_entries,
-                pud_cwc_entries=self.pud_cwc_entries,
-                cwc_cycles=self.cwc_cycles,
-                obs=obs,
-            )
-        else:
-            tables = MeHptPageTables(
-                allocator,
-                rng=None,
-                ways=self.ways,
-                initial_slots=self.scaled_initial_slots(),
-                hash_seed=self.seed,
-                upsize_threshold=self.upsize_threshold,
-                downsize_threshold=self.downsize_threshold,
-                rehashes_per_insert=self.rehashes_per_insert,
-                allow_downsize=self.allow_downsize,
-                chunk_ladder=self.scaled_ladder(),
-                enable_inplace=self.enable_inplace,
-                enable_perway=self.enable_perway,
-                fault_plan=plan,
-                degradation=degradation,
-                obs=obs,
-            )
-            walker = MeHptWalker(
-                tables, caches,
-                pmd_cwc_entries=self.pmd_cwc_entries,
-                pud_cwc_entries=self.pud_cwc_entries,
-                cwc_cycles=self.cwc_cycles,
-                l2p_cycles=self.l2p_cycles,
-                obs=obs,
-            )
+        tables, walker = REGISTRY[self.organization].build(
+            self, allocator, caches, plan, degradation, obs
+        )
 
         thp = ThpPolicy(
             enabled=self.thp_enabled,
@@ -381,6 +315,11 @@ class SimulatedSystem:
     #: The run's observability layer (None when disabled); owns the
     #: metrics registry, the trace sink, and the sim-cycle clock.
     obs: Optional[Observability] = None
+
+    @property
+    def org(self):
+        """The organization object (:mod:`repro.sim.organizations`)."""
+        return REGISTRY[self.config.organization]
 
 
 def table3_parameters() -> Dict[str, str]:

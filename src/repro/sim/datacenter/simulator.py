@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, get_type_hints
+from typing import Dict, List, Optional, Tuple, get_type_hints
 
 from repro.common.errors import ConfigurationError, MEHPTError
-from repro.common.units import CACHE_LINE, MB, PAGE_4K
+from repro.common.units import MB, PAGE_4K
 from repro.kernel.context import ContextSwitchModel
 from repro.kernel.process import Process
 from repro.mem.alloc_cost import AllocationCostModel
@@ -53,9 +53,6 @@ from repro.workloads import get_workload
 #: Prefix marking sweep-cell overrides that parameterize the datacenter
 #: model rather than :class:`~repro.sim.config.SimulationConfig`.
 DC_PREFIX = "dc_"
-
-#: Lines per radix node (one 4KB page of PTEs).
-_NODE_LINES = PAGE_4K // CACHE_LINE
 
 
 @dataclass(frozen=True)
@@ -192,15 +189,15 @@ class Tenant:
         """Record the core about to run this tenant's quantum."""
         self.touched_cores.add((self.socket, self.index % self.cores_per_socket))
 
-    def iter_storage_placements(self) -> Iterator[Tuple[int, int, int, int]]:
-        """Live ``(base_line, n_lines, nbytes, handle)`` for hashed tables."""
-        tables = self.system.page_tables
-        for per_size in tables.tables.values():
-            for way in per_size.table.ways:
-                for storage in (way.storage, way.old_storage):
-                    if storage is not None:
-                        for placement in storage.placements():
-                            yield placement
+    def back_node(self, addr: int) -> int:
+        """Pool handle backing radix node ``addr``, allocated on first use.
+
+        Backing nodes with real frames from the shared pools keeps their
+        placement (and fault injection) live.
+        """
+        if addr not in self.node_handles:
+            self.node_handles[addr] = self.pool.alloc(PAGE_4K)
+        return self.node_handles[addr]
 
 
 class DatacenterSimulator:
@@ -382,50 +379,28 @@ class DatacenterSimulator:
 
     # -- placement scanning --------------------------------------------
 
-    def _iter_placements(self, tenant: Tenant) -> Iterator[Tuple[int, int, int, int]]:
-        """All live placement units, allocating radix node backing lazily."""
-        if self.config.organization == "radix":
-            tables = tenant.system.page_tables
-            stack = [tables.root]
-            while stack:
-                node = stack.pop()
-                if node.addr not in tenant.node_handles:
-                    # Back the node with a real frame from the shared
-                    # pools so placement (and fault injection) is live.
-                    tenant.node_handles[node.addr] = tenant.pool.alloc(PAGE_4K)
-                yield (
-                    node.addr // CACHE_LINE,
-                    _NODE_LINES,
-                    PAGE_4K,
-                    tenant.node_handles[node.addr],
-                )
-                for child in node.entries.values():
-                    if hasattr(child, "entries"):
-                        stack.append(child)
-        else:
-            for placement in tenant.iter_storage_placements():
-                yield placement
-
     def _scan_sig(self, tenant: Tenant) -> Tuple[int, int]:
-        """Placement-change signature: pool epoch + radix node count.
+        """Placement-change signature: pool epoch + table growth count.
 
         Every event that can add/move/remove a placement unit — table
         resizes, lazy radix node backing, pool frees at teardown — goes
         through the tenant's pool allocator (bumping ``alloc_epoch``) or
-        grows the radix tree (bumping ``node_count``), so an unchanged
-        signature means the last scan's registrations still hold.
+        grows the table outside the pool (the organization's ``growth``
+        count: the radix node count), so an unchanged signature means
+        the last scan's registrations still hold.
         """
-        return (
-            tenant.pool.alloc_epoch,
-            getattr(tenant.system.page_tables, "node_count", -1),
-        )
+        system = tenant.system
+        return tenant.pool.alloc_epoch, system.org.growth(system.page_tables)
 
     def _scan_units(self, tenant: Tenant) -> None:
         """Register new units, unregister stale ones (resize shootdown)."""
         if tenant.scan_sig == self._scan_sig(tenant):
             return
         live: Dict[int, Tuple[int, int, int]] = {}
-        for base_line, n_lines, nbytes, handle in self._iter_placements(tenant):
+        system = tenant.system
+        for base_line, n_lines, nbytes, handle in system.org.placements(
+            system.page_tables, tenant.back_node
+        ):
             live[base_line] = (n_lines, nbytes, handle)
         stale = [base for base in tenant.units if base not in live]
         for base_line in stale:

@@ -64,6 +64,11 @@ class MultiProcessSimulator:
             raise ConfigurationError("need at least one process")
         if quantum < 1:
             raise ConfigurationError("quantum must be positive")
+        if config.obs is not None:
+            raise ConfigurationError(
+                "MultiProcessSimulator takes no obs config; trace multi-tenant "
+                "runs with the datacenter model (repro.sim.datacenter)"
+            )
         self.config = config
         self.quantum = quantum
         self.switch_model = switch_model if switch_model is not None else ContextSwitchModel()
@@ -84,11 +89,9 @@ class MultiProcessSimulator:
                 )
             )
         # Engine selection (SimulationConfig.engine): per-process
-        # batched quantum engines with private cache mirrors.  Traced
-        # runs keep the scalar loop: per-access event synthesis under
-        # round-robin scheduling is not implemented here.
+        # batched quantum engines with private cache mirrors.
         self._engines: Dict[int, QuantumEngine] = {}
-        if config.resolve_engine() == "vectorized" and not config.tracing_enabled():
+        if config.resolve_engine() == "vectorized":
             self._engines = {
                 i: QuantumEngine(process, system)
                 for i, (process, system) in enumerate(

@@ -152,50 +152,20 @@ def memory_result(system: SimulatedSystem, populate: bool = True) -> MemoryFootp
                     EVENT_ABORT, "populate", error=type(exc).__name__,
                 )
     tables = system.page_tables
-    scale = config.scale
-    if config.organization == "radix":
-        result = MemoryFootprintResult(
-            workload=workload.spec.name,
-            organization="radix",
-            thp=config.thp_enabled,
-            max_contiguous_bytes=tables.max_contiguous_bytes(),
-            total_pt_bytes=tables.table_bytes() * scale,
-            peak_pt_bytes=tables.table_bytes() * scale,
-            pt_alloc_cycles=system.address_space.totals.pt_alloc_cycles * scale,
-            pages_mapped_4k=system.address_space.totals.pages_mapped_4k,
-            pages_mapped_2m=system.address_space.totals.pages_mapped_2m,
-            failed=failed,
-            failure_reason=reason,
-            degradation_counts=dict(system.degradation.counts()),
-            recovery_cycles=system.degradation.recovery_cycles,
-        )
-        if system.obs is not None:
-            result.metrics = system.obs.snapshot_metrics()
-            system.obs.close()
-        return result
-    # Hashed organizations: the allocator already reports scale-equivalents.
+    totals = system.address_space.totals
     result = MemoryFootprintResult(
         workload=workload.spec.name,
         organization=config.organization,
         thp=config.thp_enabled,
         max_contiguous_bytes=tables.max_contiguous_bytes(),
-        total_pt_bytes=tables.total_bytes() * scale,
-        peak_pt_bytes=tables.peak_total_bytes * scale,
-        pt_alloc_cycles=tables.allocation_cycles(),
-        pages_mapped_4k=system.address_space.totals.pages_mapped_4k,
-        pages_mapped_2m=system.address_space.totals.pages_mapped_2m,
-        upsizes_per_way_4k=tables.upsizes_per_way("4K"),
-        way_bytes_4k=[b * scale for b in tables.way_bytes("4K")],
-        moved_fractions_4k=tables.moved_fractions("4K"),
-        kick_histogram=dict(tables.kick_histogram()),
+        pages_mapped_4k=totals.pages_mapped_4k,
+        pages_mapped_2m=totals.pages_mapped_2m,
         failed=failed,
         failure_reason=reason,
         degradation_counts=dict(system.degradation.counts()),
         recovery_cycles=system.degradation.recovery_cycles,
+        **system.org.memory_fields(tables, totals.pt_alloc_cycles, config.scale),
     )
-    if config.organization == "mehpt":
-        result.l2p_entries_used = tables.l2p_entries_used()
-        result.chunk_transitions = tables.total_chunk_transitions()
     if system.obs is not None:
         result.metrics = system.obs.snapshot_metrics()
         system.obs.close()
@@ -349,10 +319,7 @@ class TranslationSimulator:
                 rehash_entry_cycles=config.rehash_entry_cycles,
                 fault_overhead_cycles=config.fault_overhead_cycles,
                 l2_hit_cycles=tlb.l2_miss_probe_cycles,
-                pt_alloc_cycles_at_start=(
-                    0.0 if config.organization == "radix"
-                    else tables.allocation_cycles()
-                ),
+                pt_alloc_cycles_at_start=system.org.allocation_cycles(tables),
             )
             if warmup_events == 0:
                 obs.emit(EVENT_MEASURE_START, event=0)
@@ -391,26 +358,18 @@ class TranslationSimulator:
         accesses = max(0, events_done - warmup_events) * repeats
 
         totals = aspace.totals
-        rehash_moves = 0.0
-        if config.organization == "radix":
-            # Radix node allocations are charged per fault at scaled counts;
-            # convert to full-scale equivalents.
-            pt_alloc = totals.pt_alloc_cycles * config.scale
-            reinsert = 0.0
-            l2p_exposed = 0.0
-        else:
-            pt_alloc = tables.allocation_cycles()
-            reinsert = totals.reinsert_cycles * config.scale
-            rehash_moves = (
-                tables.total_relocated_entries()
-                * config.scale
-                * config.rehash_entry_cycles
-            )
-            l2p_exposed = 0.0
-            if config.organization == "mehpt":
-                l2p_exposed = (
-                    totals.kicks * config.scale * config.l2p_cycles
-                )
+        org = system.org
+        relocated = org.relocated_entries(tables)
+        pt_alloc, reinsert, l2p_exposed, rehash_moves = org.os_terms(
+            alloc_total=org.allocation_cycles(tables),
+            pt_fault_cycles=totals.pt_alloc_cycles,
+            reinsert_cycles=totals.reinsert_cycles,
+            kicks=totals.kicks,
+            relocated=relocated,
+            scale=config.scale,
+            l2p_cycles=config.l2p_cycles,
+            rehash_entry_cycles=config.rehash_entry_cycles,
+        )
         metrics = {}
         if obs is not None:
             # run_end records the simulator's own term values so the
@@ -429,10 +388,7 @@ class TranslationSimulator:
                 reinsert_cycles=reinsert,
                 l2p_exposed_cycles=l2p_exposed,
                 rehash_move_cycles=rehash_moves,
-                relocated_entries=(
-                    0 if config.organization == "radix"
-                    else tables.total_relocated_entries()
-                ),
+                relocated_entries=relocated,
             )
             if obs.registry is not None:
                 reg = obs.registry

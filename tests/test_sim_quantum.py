@@ -14,6 +14,7 @@ import itertools
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.experiments import engine as engine_mod
 from repro.experiments.runner import (
     ExperimentSettings,
@@ -224,15 +225,20 @@ class TestMultiProcessBitIdentity:
             for a, b in zip(sims["scalar"]._systems, sims["vectorized"]._systems):
                 assert tlb_state(a) == tlb_state(b)
 
-    def test_traced_run_stays_scalar(self):
-        # Per-access event synthesis under round-robin scheduling is not
-        # implemented, so traced multi-process runs keep the scalar loop.
+    @pytest.mark.parametrize(
+        "obs",
+        (ObservabilityConfig(trace_buffer=64), ObservabilityConfig(metrics=True)),
+        ids=("trace", "metrics"),
+    )
+    def test_obs_config_rejected(self, obs):
+        # Each process would build its own Observability from the shared
+        # config: file sinks on one path tear each other's lines, and
+        # per-process rings and registries reach no result.
         config = SimulationConfig(
-            organization="mehpt", scale=SCALE, engine="vectorized",
-            obs=ObservabilityConfig(trace_buffer=64),
+            organization="mehpt", scale=SCALE, engine="vectorized", obs=obs,
         )
-        sim = MultiProcessSimulator(["GUPS"], config, trace_length=2_000)
-        assert not sim._engines
+        with pytest.raises(ConfigurationError, match="datacenter model"):
+            MultiProcessSimulator(["GUPS"], config, trace_length=2_000)
 
 
 class TestSweepCacheEngineIndependence:
