@@ -13,15 +13,23 @@ This is the engine under both page-table organizations the paper studies:
 
 Gradual resizing follows Section II-B: each way under resize carries a
 *rehash pointer* ``P``; indices below ``P`` form the migrated region and
-indices at or above it the live region.  Lookups and inserts pick the old
-or new index by comparing the old-mask index against ``P``, so every
-operation still probes exactly one slot per way.
+indices at or above it the live region.  Placement, kicks, rehashing and
+the slot an update or delete writes pick the old or new index by
+comparing the old-mask index against ``P``, so each of them still probes
+exactly one slot per way.
+
+The slots are the only geometry.  Next to them the table keeps a key ->
+value index that answers :meth:`ElasticCuckooTable.lookup` and the
+existence checks of ``insert`` and ``delete`` with one dict read; the W
+parallel probes a hardware lookup makes are charged by the walkers from
+``probe_line_addrs``, and :meth:`ElasticCuckooTable.check_invariants`
+verifies that every stored key is reachable through its real probes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -153,14 +161,6 @@ class ElasticWay:
             return self.storage, old_idx
         return self.storage, h & (self.size - 1)
 
-    def probe(self, key: int):
-        """Return the stored (key, value) tuple for ``key`` or None."""
-        storage, idx = self.locate(self.hash(key))
-        slot = storage.get(idx)
-        if slot is not None and slot[0] == key:
-            return slot
-        return None
-
     def line_addrs_batch(self, hashes: np.ndarray) -> np.ndarray:
         """Vectorized ``storage.line_addr(*locate(h))`` over a hash array.
 
@@ -247,7 +247,6 @@ class ElasticCuckooTable:
         rng: Optional[DeterministicRng] = None,
         max_kicks: int = 32,
         rehashes_per_insert: int = 2,
-        observer: Optional[Any] = None,
         inplace_enabled: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         degradation: Optional[DegradationLog] = None,
@@ -262,7 +261,6 @@ class ElasticCuckooTable:
         self.rng = make_rng(rng)
         self.max_kicks = max_kicks
         self.rehashes_per_insert = rehashes_per_insert
-        self.observer = observer
         self.fault_plan = fault_plan
         self.degradation = degradation
         #: Optional repro.obs.Observability plus a label (the page size)
@@ -275,6 +273,9 @@ class ElasticCuckooTable:
         self.inplace_enabled = inplace_enabled
         self.stats = TableStats()
         self.count = 0
+        #: key -> value for every stored item: the functional view the
+        #: slots hold, read by lookups instead of probing each way.
+        self._index: Dict[int, Any] = {}
         self.peak_bytes = self.total_bytes()
         self._emergency_depth = 0
 
@@ -298,13 +299,13 @@ class ElasticCuckooTable:
         return any(way.resizing for way in self.ways)
 
     def lookup(self, key: int) -> Optional[Any]:
-        """Return the value stored under ``key`` or None (W probes)."""
+        """Return the value stored under ``key`` or None.
+
+        Reads the key index; the W way probes a hardware lookup makes are
+        modelled by the walkers.  Counts one ``stats.lookups`` per call.
+        """
         self.stats.lookups += 1
-        for way in self.ways:
-            slot = way.probe(key)
-            if slot is not None:
-                return slot[1]
-        return None
+        return self._index.get(key)
 
     def __contains__(self, key: int) -> bool:
         return self.lookup(key) is not None
@@ -318,7 +319,6 @@ class ElasticCuckooTable:
             yield from self._way_items(way)
 
     def _way_items(self, way: ElasticWay):
-        seen_storages = []
         if way.old_storage is not None:
             # Live region of the old storage.
             for idx in range(way.rehash_ptr, way.old_size):
@@ -336,21 +336,21 @@ class ElasticCuckooTable:
                 slot = way.storage.get(idx)
                 if slot is not None:
                     yield slot
-        del seen_storages
 
     # -- mutation --------------------------------------------------------
 
     def insert(self, key: int, value: Any) -> int:
         """Insert or update ``key``; return the number of cuckoo re-insertions."""
-        located = self._find_slot(key)
-        if located is not None:
-            way, storage, idx = located
+        if key in self._index:
+            _way, storage, idx = self._find_slot(key)
             storage.put(idx, (key, value))
+            self._index[key] = value
             self.stats.updates += 1
             return 0
         self.maintenance()
         way_idx = self.policy.choose_insert_way(self)
         kicks = self._place((key, value), way_idx)
+        self._index[key] = value
         self.count += 1
         self.stats.inserts += 1
         self.stats.record_op_kicks(kicks)
@@ -362,11 +362,11 @@ class ElasticCuckooTable:
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; return True if it was present."""
-        located = self._find_slot(key)
-        if located is None:
+        if key not in self._index:
             return False
-        way, storage, idx = located
+        way, storage, idx = self._find_slot(key)
         storage.clear(idx)
+        del self._index[key]
         way.count -= 1
         self.count -= 1
         self.stats.deletes += 1
@@ -401,7 +401,6 @@ class ElasticCuckooTable:
         new_size = way.size * 2
         if self.inplace_enabled and self._try_extend(way, new_size):
             way.begin_resize(new_size, None)
-            self._notify("on_upsize", way, new_size, True)
             self._emit_resize(
                 EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=True,
             )
@@ -411,7 +410,6 @@ class ElasticCuckooTable:
                 self._eager_migrate(way, new_size)
             else:
                 way.begin_resize(new_size, new_storage)
-                self._notify("on_upsize", way, new_size, False)
                 self._emit_resize(
                     EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=False,
                 )
@@ -424,7 +422,6 @@ class ElasticCuckooTable:
         new_size = way.size // 2
         if self.inplace_enabled and self._can_shrink_in_place(way.storage):
             way.begin_resize(new_size, None)
-            self._notify("on_downsize", way, new_size, True)
             self._emit_resize(
                 EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=True,
             )
@@ -434,7 +431,6 @@ class ElasticCuckooTable:
                 self._eager_migrate(way, new_size)
             else:
                 way.begin_resize(new_size, new_storage)
-                self._notify("on_downsize", way, new_size, False)
                 self._emit_resize(
                     EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=False,
                 )
@@ -513,6 +509,8 @@ class ElasticCuckooTable:
                 way.storage.put(idx, item)
                 way.count += 1
             else:
+                # If this raises, _place has resynced the index from the
+                # slots, dropping the items not re-placed yet.
                 self._place(item, self._other_way(way.index))
         if self.degradation is not None:
             self.degradation.record(
@@ -540,40 +538,49 @@ class ElasticCuckooTable:
         return j + 1 if j >= way_idx else j
 
     def _place(self, item: Tuple[int, Any], way_idx: int) -> int:
-        """Cuckoo-place ``item`` starting at ``way_idx``; return kick count."""
-        if (
-            self.fault_plan is not None
-            and self.fault_plan.decide(SITE_CUCKOO_KICKS) is not None
-        ):
-            # Injected kick-bound overrun: behave exactly as if the kick
-            # chain had exceeded max_kicks — force an emergency resize,
-            # then place into the enlarged index space.
-            if self.degradation is not None:
-                self.degradation.record(
-                    EVENT_FAULT, SITE_CUCKOO_KICKS, way=way_idx,
-                )
-            self._emergency_resize()
-        kicks = 0
-        kicks_since_resize = 0
-        while True:
-            way = self.ways[way_idx]
-            storage, idx = way.locate(way.hash(item[0]))
-            slot = storage.get(idx)
-            if slot is None:
-                storage.put(idx, item)
-                way.count += 1
-                return kicks
-            storage.put(idx, item)
-            item = slot
-            kicks += 1
-            kicks_since_resize += 1
-            if kicks_since_resize >= self.max_kicks:
-                # The kick chain is too long: force the policy to grow the
-                # table, then keep kicking the in-flight item into the
-                # enlarged index space.
+        """Cuckoo-place ``item`` starting at ``way_idx``; return kick count.
+
+        An exception escaping the kick chain loses the item in flight at
+        that moment, which may be one kicked out of its slot, so the key
+        index and counts are rebuilt from the slots before it propagates.
+        """
+        try:
+            if (
+                self.fault_plan is not None
+                and self.fault_plan.decide(SITE_CUCKOO_KICKS) is not None
+            ):
+                # Injected kick-bound overrun: behave exactly as if the
+                # kick chain had exceeded max_kicks — force an emergency
+                # resize, then place into the enlarged index space.
+                if self.degradation is not None:
+                    self.degradation.record(
+                        EVENT_FAULT, SITE_CUCKOO_KICKS, way=way_idx,
+                    )
                 self._emergency_resize()
-                kicks_since_resize = 0
-            way_idx = self._other_way(way_idx)
+            kicks = 0
+            kicks_since_resize = 0
+            while True:
+                way = self.ways[way_idx]
+                storage, idx = way.locate(way.hash(item[0]))
+                slot = storage.get(idx)
+                if slot is None:
+                    storage.put(idx, item)
+                    way.count += 1
+                    return kicks
+                storage.put(idx, item)
+                item = slot
+                kicks += 1
+                kicks_since_resize += 1
+                if kicks_since_resize >= self.max_kicks:
+                    # The kick chain is too long: force the policy to grow
+                    # the table, then keep kicking the in-flight item into
+                    # the enlarged index space.
+                    self._emergency_resize()
+                    kicks_since_resize = 0
+                way_idx = self._other_way(way_idx)
+        except BaseException:
+            self._resync()
+            raise
 
     def _emergency_resize(self) -> None:
         if self._emergency_depth >= 8:
@@ -635,7 +642,6 @@ class ElasticCuckooTable:
         way.old_size = None
         way.rehash_ptr = None
         way.direction = 0
-        self._notify("on_resize_complete", way, way.size, way.old_storage is None)
         self._emit_resize(
             EVENT_RESIZE_COMMIT, way, size=way.size, inplace=inplace,
             relocated=way.rehash_relocated,
@@ -648,26 +654,12 @@ class ElasticCuckooTable:
         old_size = way.size
         way.storage.release()
         try:
-            new_storage = self.storage_factory(way.index, new_size)
-        except ContiguousAllocationError:
-            new_storage = None
-        if new_storage is None:
-            # Even with the old way's space returned, the target size is
-            # unallocatable.  Re-create the way at its old size so it
-            # survives (the resize is abandoned, not the table).
-            new_storage = self.storage_factory(way.index, old_size)
-            if new_storage is None:
-                raise ConfigurationError(
-                    "storage factory failed even after releasing the old way",
-                    way=way.index, old_size=old_size, new_size=new_size,
-                )
-            if self.degradation is not None:
-                self.degradation.record(
-                    EVENT_EAGER_RETRY, "eager_migrate",
-                    way=way.index, old_size=old_size,
-                    abandoned_size=new_size,
-                )
-            new_size = old_size
+            new_storage, new_size = self._recreate_storage(way, new_size)
+        except BaseException:
+            # Nothing replaced the released storage: the way's items are
+            # lost and the way is left empty.
+            self._resync()
+            raise
         way.storage = new_storage
         way.size = new_size
         way.old_size = None
@@ -688,25 +680,59 @@ class ElasticCuckooTable:
                 way.storage.put(idx, item)
                 way.count += 1
             else:
+                # If this raises, _place has resynced the index from the
+                # slots, dropping the items not re-placed yet.
                 kicks = self._place(item, self._other_way(way.index))
                 self.stats.record_op_kicks(kicks)
-        self._notify("on_eager_migration", way, new_size, False)
         # An eager migration begins and commits atomically: one commit
         # event with eager=True, no matching resize_begin.
         self._emit_resize(
             EVENT_RESIZE_COMMIT, way, size=new_size, inplace=False, eager=True,
         )
 
+    def _recreate_storage(self, way: ElasticWay, new_size: int) -> Tuple[Storage, int]:
+        """Storage for ``way`` after its old storage was released:
+        ``(storage, size)`` at ``new_size``, else at the way's old size."""
+        old_size = way.size
+        try:
+            new_storage = self.storage_factory(way.index, new_size)
+        except ContiguousAllocationError:
+            new_storage = None
+        if new_storage is not None:
+            return new_storage, new_size
+        # Even with the old way's space returned, the target size is
+        # unallocatable.  Re-create the way at its old size so it
+        # survives (the resize is abandoned, not the table).
+        new_storage = self.storage_factory(way.index, old_size)
+        if new_storage is None:
+            raise ConfigurationError(
+                "storage factory failed even after releasing the old way",
+                way=way.index, old_size=old_size, new_size=new_size,
+            )
+        if self.degradation is not None:
+            self.degradation.record(
+                EVENT_EAGER_RETRY, "eager_migrate",
+                way=way.index, old_size=old_size,
+                abandoned_size=new_size,
+            )
+        return new_storage, old_size
+
+    def _resync(self) -> None:
+        """Rebuild the key index and the entry counts from the slots.
+
+        Only the abort paths call this: when an exception escapes while
+        items are outside the slots (a kick chain's in-flight item, a
+        released way), whatever the slots still hold is the table.
+        """
+        for way in self.ways:
+            way.count = sum(1 for _ in self._way_items(way))
+        self._index = dict(self.items())
+        self.count = len(self._index)
+
     def _update_peak(self) -> None:
         total = self.total_bytes()
         if total > self.peak_bytes:
             self.peak_bytes = total
-
-    def _notify(self, event: str, way: ElasticWay, new_size: int, inplace: bool) -> None:
-        if self.observer is not None:
-            handler = getattr(self.observer, event, None)
-            if handler is not None:
-                handler(way, new_size, inplace)
 
     def _emit_resize(self, kind: str, way: ElasticWay, **payload) -> None:
         if self.obs is not None:
@@ -720,8 +746,9 @@ class ElasticCuckooTable:
         Raises :class:`~repro.common.errors.SimulationError` with
         structured context on the first violation: per-way and table
         entry counts, power-of-two geometry, rehash-pointer bounds,
-        per-storage structural invariants, and reachability of every
-        stored key through :meth:`lookup`.
+        per-storage structural invariants, reachability of every stored
+        key through its ways' real probes (:meth:`_find_slot`, never the
+        key index), and a key index equal to the stored items.
         """
         total = 0
         for way in self.ways:
@@ -753,10 +780,20 @@ class ElasticCuckooTable:
                 "table count does not match sum of way counts",
                 component="cuckoo", tracked=self.count, counted=total,
             )
-        # Every stored key must be findable via lookup.
-        for key, _value in list(self.items()):
-            if self.lookup(key) is None:
+        stored = list(self.items())
+        for key, value in stored:
+            if self._find_slot(key) is None:
                 raise SimulationError(
-                    "stored key unreachable through lookup",
+                    "stored key unreachable through its way probes",
                     component="cuckoo", key=key,
                 )
+            if self.lookup(key) is not value:
+                raise SimulationError(
+                    "key index disagrees with the stored value",
+                    component="cuckoo", key=key,
+                )
+        if len(self._index) != len(stored):
+            raise SimulationError(
+                "key index holds keys the slots do not",
+                component="cuckoo", indexed=len(self._index), stored=len(stored),
+            )

@@ -350,6 +350,7 @@ class ChunkedStorage(Storage):
             self._budget.release(len(self._chunks))
             self._chunks = []
             self._handles = []
+            self._size_slots = 0
             self._released = True
 
     def placements(self) -> List[Tuple[int, int, int, Any]]:

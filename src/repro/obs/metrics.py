@@ -114,7 +114,9 @@ CATALOGUE: Dict[str, MetricSpec] = {
         "Insertions into one page size's cuckoo table."),
     "cuckoo.lookups": MetricSpec(
         KIND_COUNTER, "lookups", "repro.hashing.cuckoo",
-        "Lookups against one page size's cuckoo table."),
+        "Lookups against one page size's cuckoo table: one per lookup "
+        "call, answered from the key index (the walkers charge the "
+        "modelled way probes)."),
     "cuckoo.rehash_steps": MetricSpec(
         KIND_COUNTER, "steps", "repro.hashing.cuckoo",
         "Gradual-rehash steps performed across all resizes."),

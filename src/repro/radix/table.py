@@ -180,12 +180,19 @@ class RadixPageTable:
         """Return ``(ppn, page_size)`` for ``vpn`` or None if unmapped.
 
         For huge pages the returned PPN is the base frame of the huge
-        page; callers add the in-page offset.
+        page; callers add the in-page offset.  Descends the same entries
+        as :meth:`walk` without computing the per-level cache lines,
+        which only the timing model needs.
         """
-        leaf, _lines = self.walk(vpn)
-        if leaf is None:
-            return None
-        return leaf.ppn, leaf.page_size
+        node = self.root
+        for shift in range((self.levels - 1) * LEVEL_BITS, -1, -LEVEL_BITS):
+            entry = node.entries.get((vpn >> shift) & (FANOUT - 1))
+            if entry is None:
+                return None
+            if isinstance(entry, _Leaf):
+                return entry.ppn, entry.page_size
+            node = entry
+        return None
 
     def node_line_addrs(self, vpn: int) -> List[int]:
         """Just the cache-line addresses a full walk of ``vpn`` touches."""

@@ -4,9 +4,9 @@ Covers the graceful-degradation contracts end to end: deterministic
 fault plans, cycle-charged retry/backoff in the allocators, atomic
 resize rollback (the mid-resize allocation-failure acceptance test),
 degrade-to-out-of-place, chunk-size fallback, L2P reservation refusal,
-injected cuckoo kick-bound overruns, the invariant checkers' ability to
-actually detect corruption, and pickle/repr round-trips of the
-structured errors.
+injected cuckoo kick-bound overruns, the cuckoo key index after aborts
+that lose items, the invariant checkers' ability to actually detect
+corruption, and pickle/repr round-trips of the structured errors.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.common.errors import (
     ContiguousAllocationError,
     OutOfMemoryError,
     SimulationError,
+    TableFullError,
     TransientAllocationError,
 )
 from repro.common.rng import DeterministicRng
@@ -502,6 +503,133 @@ class TestCuckooKickInjection:
 
 
 # ---------------------------------------------------------------------------
+# Aborts that lose items leave the key index equal to the slots
+# ---------------------------------------------------------------------------
+
+
+class _WayZeroFirst(AllWayResizePolicy):
+    """Every insert starts its kick chain at way 0."""
+
+    def choose_insert_way(self, table):
+        return 0
+
+
+def _way_zero_table(**kwargs) -> ElasticCuckooTable:
+    """A contiguous table whose way 0 indexes by the key itself, so a
+    test decides which keys share a slot there."""
+    family = HashFamily(seed=7)
+    ways = [ElasticWay(0, lambda key: key, ContiguousStorage(16))]
+    ways += [ElasticWay(i, family.function(i), ContiguousStorage(16)) for i in (1, 2)]
+    return ElasticCuckooTable(
+        ways,
+        _WayZeroFirst(min_way_slots=16),
+        lambda w, slots: ContiguousStorage(slots),
+        rng=DeterministicRng(8),
+        **kwargs,
+    )
+
+
+def _failing_factory(way_index, slots):
+    raise ContiguousAllocationError(slots * 64, 0.9)
+
+
+def _assert_index_matches_probes(table: ElasticCuckooTable, keys):
+    """check_invariants passes and, for every key, ``lookup`` (the key
+    index) returns what the ways' real probes find."""
+    table.check_invariants()
+    for key in keys:
+        probed = None
+        located = table._find_slot(key)
+        if located is not None:
+            _way, storage, idx = located
+            probed = storage.get(idx)[1]
+        assert table.lookup(key) is probed
+
+
+class TestAbortsKeepKeyIndex:
+    def test_kick_chain_ending_in_table_full_error(self):
+        table = _way_zero_table(max_kicks=1)
+        table.insert(3, 30)
+        # As if eight emergency resizes were already nested: the next
+        # kick chain that reaches max_kicks cannot grow the table.
+        table._emergency_depth = 8
+        with pytest.raises(TableFullError):
+            table.insert(19, 190)  # takes way 0's slot 3, kicking 3 out
+        table._emergency_depth = 0
+        _assert_index_matches_probes(table, [3, 19])
+        assert table.lookup(3) is None  # in flight when the chain gave up
+        assert table.lookup(19) == 190
+        assert len(table) == 1
+
+    @pytest.mark.parametrize("maker", [make_contiguous_table, make_chunked_table])
+    def test_eager_migration_whose_factory_fails_after_release(self, maker):
+        table = maker(initial_slots=16)
+        table.inplace_enabled = False  # chunked ways would grow in place
+        keys = _fill(table, 20)
+        # A way whose storage cannot be re-created has no slots left to
+        # probe, so take the last way: probes for the other ways' keys
+        # find them before they reach it.
+        dead = table.ways[-1]
+        lost = {key for key, _value in table._way_items(dead)}
+        assert lost
+        calls = []
+
+        def factory(way_index, slots):
+            calls.append(slots)
+            if len(calls) == 1:
+                return None  # old and new cannot coexist: migrate eagerly
+            raise ContiguousAllocationError(slots * 64, 0.9)
+
+        table.storage_factory = factory
+        with pytest.raises(ContiguousAllocationError):
+            table.start_upsize(dead)
+        assert calls == [32, 32, 16]  # start_upsize, eager target, old size
+        assert dead.storage.size_slots == 0 and dead.count == 0
+        table.check_invariants()
+        survivors = [key for key in keys if key not in lost]
+        _assert_index_matches_probes(table, survivors)
+        assert dict(table.items()) == {key: key * 3 for key in survivors}
+        for key in lost:
+            assert table.lookup(key) is None
+
+    def test_rollback_whose_replacement_raises(self):
+        table = _way_zero_table(rehashes_per_insert=0)
+        table.insert(3, 30)
+        table.insert(5, 50)
+        way = table.ways[0]
+        way.begin_resize(32, ContiguousStorage(32))
+        table.maintenance(steps=4)  # 3 moves to the new way; pointer at 4
+        table.insert(19, 190)  # old index 3 is migrated: new index 19
+        # Rolling back puts 3 and 19 on old index 3 again; re-placing 19
+        # hits an injected kick overrun whose emergency resize fails.
+        table.fault_plan = FaultPlan([FaultSpec(SITE_CUCKOO_KICKS, every=1)])
+        table.storage_factory = _failing_factory
+        with pytest.raises(ContiguousAllocationError):
+            table.rollback_resize(way)
+        assert not way.resizing and way.size == 16
+        _assert_index_matches_probes(table, [3, 5, 19])
+        assert table.lookup(19) is None
+        assert len(table) == 2
+
+    def test_injected_kick_fault_whose_emergency_resize_raises(self):
+        table = _way_zero_table()
+        table.insert(3, 30)
+        table.insert(11, 110)
+        way = table.ways[0]
+        way.begin_resize(8, ContiguousStorage(8))
+        table.fault_plan = FaultPlan([FaultSpec(SITE_CUCKOO_KICKS, every=1)])
+        table.storage_factory = _failing_factory
+        # 3 and 11 meet at new index 3: 11 claims it and 3 is cuckooed
+        # out, straight into the injected overrun.
+        with pytest.raises(ContiguousAllocationError):
+            table.maintenance(steps=16)
+        _assert_index_matches_probes(table, [3, 11])
+        assert table.lookup(3) is None
+        assert table.lookup(11) == 110
+        assert len(table) == 1
+
+
+# ---------------------------------------------------------------------------
 # Invariant checkers actually detect corruption
 # ---------------------------------------------------------------------------
 
@@ -541,6 +669,31 @@ class TestInvariantDetection:
         _fill(table, 6)
         table.count += 1
         with pytest.raises(SimulationError, match="table count"):
+            table.check_invariants()
+
+    def test_cuckoo_detects_key_off_its_probe_path(self):
+        # lookup reads the key index, so only the invariant check's real
+        # probes notice a key stored where its way's locate does not point.
+        table = make_contiguous_table()
+        keys = _fill(table, 6)
+        way, storage, idx = table._find_slot(keys[0])
+        spare = next(i for i in range(way.size) if storage.get(i) is None)
+        storage.put(spare, storage.get(idx))
+        storage.clear(idx)
+        assert table.lookup(keys[0]) == keys[0] * 3
+        with pytest.raises(SimulationError, match="unreachable through its way probes"):
+            table.check_invariants()
+
+    def test_cuckoo_detects_key_index_drift(self):
+        table = make_contiguous_table()
+        keys = _fill(table, 6)
+        table._index[keys[0]] = -1
+        with pytest.raises(SimulationError, match="key index disagrees"):
+            table.check_invariants()
+        table = make_contiguous_table()
+        _fill(table, 6)
+        table._index[0x7777] = 1
+        with pytest.raises(SimulationError, match="key index holds keys"):
             table.check_invariants()
 
     def test_chunked_storage_detects_handle_mismatch(self):

@@ -122,6 +122,12 @@ class CuckooMachine(RuleBasedStateMachine):
     def count_matches(self):
         assert len(self.table) == len(self.model)
 
+    @invariant()
+    def probes_reach_every_key(self):
+        # ``read`` answers from the key index; this finds every stored key
+        # through its ways' real probes, mid-resize included.
+        self.table.check_invariants()
+
 
 TestCuckooMachine = CuckooMachine.TestCase
 TestCuckooMachine.settings = settings(
