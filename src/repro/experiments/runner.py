@@ -20,8 +20,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.experiments import engine as _engine
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SimulationConfig, check_trace_length, fits_field
 from repro.sim.results import MemoryFootprintResult, PerformanceResult
 from repro.workloads import workload_names
 
@@ -45,6 +46,22 @@ class ExperimentSettings:
     apps: Tuple[str, ...] = ()
     #: Leading fraction of the trace that warms TLBs/tables unmeasured.
     warmup_fraction: float = 0.0
+
+    def __post_init__(self) -> None:
+        """Reject settings no run could use, before any worker sees them."""
+        for name in ("scale", "trace_length", "seed"):
+            value = getattr(self, name)
+            if not fits_field(value, int):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}",
+                    field=name, value=value,
+                )
+        check_trace_length(self.trace_length)
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise ConfigurationError(
+                f"warmup_fraction {self.warmup_fraction} must be in [0, 1)",
+                field="warmup_fraction", value=self.warmup_fraction,
+            )
 
     def app_list(self) -> List[str]:
         return list(self.apps) if self.apps else workload_names()

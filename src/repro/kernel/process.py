@@ -4,16 +4,15 @@ Per-process HPTs are the paper's setting (a global HPT cannot support
 sharing/page sizes or cheap teardown — Section II-B), so a process here
 bundles its own page tables, address space, and workload stream, plus
 the process-lifetime operations the multi-process simulator needs.
+:class:`~repro.sim.quantum.QuantumEngine` runs the trace in quanta and
+advances the cursor fields.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 import numpy as np
 
 from repro.kernel.address_space import AddressSpace
-from repro.kernel.thp import REGION_SHIFT
 
 
 class Process:
@@ -45,33 +44,6 @@ class Process:
 
     def remaining(self) -> int:
         return len(self.trace) - self.cursor
-
-    def run_quantum(self, quantum: int) -> float:
-        """Execute up to ``quantum`` accesses; returns the cycles spent."""
-        end = min(self.cursor + quantum, len(self.trace))
-        cycles = 0.0
-        translate = self.tlb.translate
-        fault = self.address_space.handle_fault
-        fill = self.tlb.fill
-        # One bulk numpy->int conversion per quantum instead of one
-        # int() call per access; the loop then runs on plain ints.
-        for vpn in self.trace[self.cursor:end].tolist():
-            outcome = translate(vpn)
-            cycles += outcome.cycles
-            if outcome.level == "fault":
-                result = fault(vpn)
-                fill(
-                    (vpn >> REGION_SHIFT) << REGION_SHIFT
-                    if result.page_size == "2M"
-                    else vpn,
-                    result.page_size,
-                )
-        self.accesses_done += end - self.cursor
-        self.cursor = end
-        self.cycles += cycles
-        if self.cursor >= len(self.trace):
-            self.finished = True
-        return cycles
 
     def teardown_entries(self) -> int:
         """Entries to delete at process death.

@@ -21,9 +21,9 @@ from repro.hashing.hashes import mix64
 PAGES_PER_2M = 512
 
 #: ``log2(PAGES_PER_2M)`` — ``region_base(vpn) == (vpn >> REGION_SHIFT)
-#: << REGION_SHIFT`` for non-negative VPNs.  Shared by the scalar fill
-#: path and the vectorized engines so both compute region bases the same
-#: way.
+#: << REGION_SHIFT`` for non-negative VPNs.  The batched engine's static
+#: page-size decision uses it to compute regions exactly as
+#: :meth:`ThpPolicy.region_base` does.
 REGION_SHIFT = PAGES_PER_2M.bit_length() - 1
 
 

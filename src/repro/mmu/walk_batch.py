@@ -157,7 +157,14 @@ class CacheBatch:
         self._dram += int(idx.size)
 
     def write_back(self) -> None:
-        """Install mirrored contents and counter deltas into the real levels."""
+        """Install mirrored contents and counter deltas into the real levels.
+
+        A mirror that probed no line since its last write-back installs
+        nothing, so it never overwrites what scalar walks left in the
+        real levels.
+        """
+        if not (any(self._hits) or any(self._misses) or self._dram):
+            return
         for arr, level, hits, misses in zip(
             self.arrays, self.hierarchy.levels, self._hits, self._misses
         ):
@@ -200,9 +207,6 @@ class NumaCacheBatch(CacheBatch):
         self._remote_dram = 0
         self._snapshot_epoch = -1
         self._bases = self._ends = self._sockets = None
-        #: Diagnostics surfaced as ``numa.batch_*`` metrics.
-        self.batch_dram_probes = 0
-        self.snapshot_rebuilds = 0
 
     def _remote_mask(self, lines: np.ndarray) -> np.ndarray:
         """Which of ``lines`` are homed on a non-active, non-replicated
@@ -213,7 +217,6 @@ class NumaCacheBatch(CacheBatch):
         if self._snapshot_epoch != home_map.epoch:
             self._bases, self._ends, self._sockets = home_map.as_arrays()
             self._snapshot_epoch = home_map.epoch
-            self.snapshot_rebuilds += 1
         if self._bases.size == 0:
             return np.zeros(lines.size, dtype=bool)
         pos = np.searchsorted(self._bases, lines, side="right") - 1
@@ -231,7 +234,6 @@ class NumaCacheBatch(CacheBatch):
     ) -> None:
         n = int(idx.size)
         self._dram += n
-        self.batch_dram_probes += n
         if n == 0:
             return
         remote = self._remote_mask(lines)

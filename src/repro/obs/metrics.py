@@ -324,23 +324,6 @@ CATALOGUE: Dict[str, MetricSpec] = {
     "numa.pool_spill_allocations": MetricSpec(
         KIND_COUNTER, "allocations", "repro.sim.datacenter.topology",
         "Allocations that spilled off the preferred socket's pool."),
-    "numa.batch_dram_probes": MetricSpec(
-        KIND_COUNTER, "probes", "repro.mmu.walk_batch",
-        "DRAM-missing walk lines whose NUMA homes were resolved in batch "
-        "(engine diagnostic; stripped from result snapshots so cached "
-        "cells stay engine-independent)."),
-    "numa.batch_snapshot_rebuilds": MetricSpec(
-        KIND_COUNTER, "rebuilds", "repro.mmu.walk_batch",
-        "Home-map interval snapshots rebuilt after placement epoch moves "
-        "(engine diagnostic; stripped from result snapshots)."),
-    "fastpath.quantum_runs": MetricSpec(
-        KIND_COUNTER, "quanta", "repro.sim.quantum",
-        "Tenant quanta executed by the vectorized quantum engine "
-        "(engine diagnostic; stripped from result snapshots)."),
-    "fastpath.quantum_accesses": MetricSpec(
-        KIND_COUNTER, "accesses", "repro.sim.quantum",
-        "Accesses translated through batched per-quantum probes "
-        "(engine diagnostic; stripped from result snapshots)."),
     # -- datacenter tenancy (repro.sim.datacenter.simulator) -------------
     "dc.shootdowns": MetricSpec(
         KIND_COUNTER, "shootdowns", "repro.sim.datacenter.shootdown",

@@ -8,8 +8,11 @@
   uses.
 * :mod:`repro.sim.simulator` — the per-access simulation loop and the
   footprint populator used by the memory experiments.
-* :mod:`repro.sim.fastpath` — the vectorized batched engine
-  (bit-identical results, selected via ``SimulationConfig.engine``).
+* :mod:`repro.sim.fastpath` — the scalar reference engine and the
+  vectorized batched engine (bit-identical results, selected via
+  ``SimulationConfig.engine``).
+* :mod:`repro.sim.quantum` — the quantum driver the multi-process and
+  datacenter schedulers run each process's trace through.
 * :mod:`repro.sim.results` — result containers, the differential
   performance model (cycles per access), and speedup computation.
 """

@@ -65,6 +65,15 @@ def fits_field(value: object, field_type: type) -> bool:
     )
 
 
+def check_trace_length(trace_length: int) -> None:
+    """Raise :class:`ConfigurationError` unless a trace length is >= 1."""
+    if trace_length <= 0:
+        raise ConfigurationError(
+            f"trace_length {trace_length} must be > 0",
+            field="trace_length", value=trace_length,
+        )
+
+
 @dataclass
 class SimulationConfig:
     """All machine and methodology parameters (defaults = Table III)."""

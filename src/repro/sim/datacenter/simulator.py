@@ -34,7 +34,12 @@ from repro.obs.trace import (
     EVENT_RUN_END,
     EVENT_RUN_START,
 )
-from repro.sim.config import SCALAR_FIELD_TYPES, SimulationConfig, fits_field
+from repro.sim.config import (
+    SCALAR_FIELD_TYPES,
+    SimulationConfig,
+    check_trace_length,
+    fits_field,
+)
 from repro.sim.datacenter.replication import (
     POLICIES,
     PlacementUnit,
@@ -154,7 +159,7 @@ class Tenant:
         index: int,
         app: str,
         system,
-        process: Process,
+        driver: QuantumEngine,
         pool: SocketPoolAllocator,
         socket: int,
         cores_per_socket: int,
@@ -162,7 +167,9 @@ class Tenant:
         self.index = index
         self.app = app
         self.system = system
-        self.process = process
+        #: Runs the tenant's quanta and owns its process cursor.
+        self.driver = driver
+        self.process: Process = driver.process
         self.pool = pool
         #: Socket the scheduler currently runs this tenant on.
         self.socket = socket
@@ -176,8 +183,6 @@ class Tenant:
         self.node_handles: Dict[int, int] = {}
         self.charged_faults = 0
         self.active = True
-        #: Vectorized quantum engine (None = scalar quanta).
-        self.engine: Optional[QuantumEngine] = None
         #: Placement-change signature recorded after the last unit scan.
         self.scan_sig: Optional[Tuple[int, int]] = None
 
@@ -213,6 +218,7 @@ class DatacenterSimulator:
     ) -> None:
         if not apps:
             raise ConfigurationError("need at least one app")
+        check_trace_length(trace_length)
         self.params = params if params is not None else DatacenterParams()
         self.params.validate()
         self.config = config
@@ -253,18 +259,9 @@ class DatacenterSimulator:
         self.failed = False
         self.failure_reason = ""
         self._clock = 0.0
-        # Engine selection (SimulationConfig.engine): "auto" and
-        # "vectorized" run tenant quanta through per-tenant
-        # QuantumEngines sharing one NumaCacheBatch mirror; results are
-        # bit-identical to scalar quanta.
-        self._cache_batch: Optional[NumaCacheBatch] = (
-            NumaCacheBatch(self.caches)
-            if config.resolve_engine() == "vectorized"
-            else None
-        )
-        #: Engine diagnostics (fastpath.quantum_* metrics).
-        self.quantum_runs = 0
-        self.quantum_accesses = 0
+        #: The cache mirror every tenant's batched engine shares; scalar
+        #: quanta never probe it, so its write-back then installs nothing.
+        self._cache_batch = NumaCacheBatch(self.caches)
         if self.obs is not None and self.obs.registry is not None:
             self.obs.registry.add_collector(self._collect_metrics)
 
@@ -303,15 +300,14 @@ class DatacenterSimulator:
             trace=workload.trace(self.trace_length, seed_offset=index),
             l2p=getattr(system.page_tables, "l2p", None),
         )
+        driver = QuantumEngine(
+            process, system, caches=self._cache_batch, machine=self.machine
+        )
         tenant = Tenant(
-            index, app, system, process, pool, socket,
+            index, app, system, driver, pool, socket,
             self.params.cores_per_socket,
         )
         self.tenants.append(tenant)
-        if self._cache_batch is not None:
-            tenant.engine = QuantumEngine(
-                process, system, caches=self._cache_batch, machine=self.machine
-            )
         self._scan_units(tenant)
         self._emit_lifecycle(tenant, phase)
         return tenant
@@ -327,10 +323,9 @@ class DatacenterSimulator:
 
     def _exit_tenant(self, tenant: Tenant, reason: str) -> None:
         """Tear a tenant down: shootdown, unhome its units, free its pool."""
-        if tenant.engine is not None:
-            # Install the final TLB contents (finished and churn-killed
-            # tenants alike) so post-run TLB state matches scalar runs.
-            tenant.engine.finalize()
+        # Install the final TLB contents (finished and churn-killed
+        # tenants alike) so post-run TLB state matches scalar runs.
+        tenant.driver.finalize()
         cores = len(tenant.touched_cores)
         if self.replication.policy == "replicate":
             cores += self.machine.sockets - 1
@@ -460,13 +455,7 @@ class DatacenterSimulator:
             self._current[tenant.socket] = tenant
         if self.replication.policy == "migrate" and tenant.table_home != tenant.socket:
             self._migrate(tenant)
-        if tenant.engine is not None:
-            before = tenant.process.accesses_done
-            cycles = tenant.engine.run_quantum(self.params.quantum)
-            self.quantum_runs += 1
-            self.quantum_accesses += tenant.process.accesses_done - before
-        else:
-            cycles = tenant.process.run_quantum(self.params.quantum)
+        cycles = tenant.driver.run_quantum(self.params.quantum)
         self.run_cycles += cycles
         self._clock += cycles
         # Sample the L2P *after* the quantum, when the table is
@@ -531,8 +520,8 @@ class DatacenterSimulator:
             # Install the live tenants' TLB contents, as scalar runs
             # leave them.
             for tenant in self.tenants:
-                if tenant.active and tenant.engine is not None:
-                    tenant.engine.finalize()
+                if tenant.active:
+                    tenant.driver.finalize()
         return self._result()
 
     # -- reporting -----------------------------------------------------
@@ -588,25 +577,11 @@ class DatacenterSimulator:
         registry.counter("dc.pool_alloc_failures").set_total(
             self.pool_alloc_failures
         )
-        if self._cache_batch is not None:
-            registry.counter("fastpath.quantum_runs").set_total(
-                self.quantum_runs
-            )
-            registry.counter("fastpath.quantum_accesses").set_total(
-                self.quantum_accesses
-            )
-            registry.counter("numa.batch_dram_probes").set_total(
-                self._cache_batch.batch_dram_probes
-            )
-            registry.counter("numa.batch_snapshot_rebuilds").set_total(
-                self._cache_batch.snapshot_rebuilds
-            )
 
     def _result(self) -> DatacenterResult:
-        if self._cache_batch is not None:
-            # Deferred NUMA DRAM accounting must land on the machine
-            # before the result fields below read it.
-            self._cache_batch.write_back()
+        # Deferred NUMA DRAM accounting must land on the machine before
+        # the result fields below read it.
+        self._cache_batch.write_back()
         total = self.total_cycles()
         result = DatacenterResult(
             organization=self.config.organization,
@@ -661,14 +636,6 @@ class DatacenterSimulator:
                 forks=self.forks,
                 exits=self.exits,
             )
-            # Engine diagnostics (fastpath.quantum_*/numa.batch_*) are
-            # stripped from the snapshot: cached sweep cells must stay
-            # byte-identical regardless of the engine that produced
-            # them (the engine knob is absent from cache keys).
-            result.metrics = {
-                name: record
-                for name, record in self.obs.snapshot_metrics().items()
-                if not name.startswith(("fastpath.quantum_", "numa.batch_"))
-            }
+            result.metrics = self.obs.snapshot_metrics()
             self.obs.close()
         return result

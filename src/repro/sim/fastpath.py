@@ -1,4 +1,8 @@
-"""The batched translation engine (the simulation fast path).
+"""The translation engines: one scalar step, one batched fast path.
+
+:class:`ScalarEngine` is the per-access reference: translate, service a
+demand fault, fill the TLBs, one Python int at a time on the real
+objects.  It is the oracle every other path is checked against.
 
 :class:`BatchedEngine` resolves one process's accesses through its TLB
 hierarchy in numpy chunks instead of one Python int at a time.  Per
@@ -14,14 +18,15 @@ hierarchy; only accesses that mutate simulator state — demand faults,
 with their kicks, resizes and allocations — run through the real fault
 handler, in global trace order.
 
-Two callers share the engine.  :func:`run_vectorized` streams a
-single-process trace through it chunk by chunk and adds what only a
-single-process run has: the warmup snapshot, the invariant-check
-cadence, traced event synthesis and abort recording.
-:class:`~repro.sim.quantum.QuantumEngine` feeds it one scheduling
-quantum per call.  Results are **bit-identical** to the scalar loops
-(:class:`~repro.sim.simulator.TranslationSimulator`'s and
-:meth:`~repro.kernel.process.Process.run_quantum`): every result field,
+Both engines expose ``run_chunk(chunk) -> cycles`` and ``write_back()``,
+so :class:`~repro.sim.quantum.QuantumEngine` drives either one a
+scheduling quantum per call.  Single-process runs drive them through
+their own loops, which add the warmup snapshot, the invariant-check
+cadence, tracing and abort recording:
+:meth:`~repro.sim.simulator.TranslationSimulator._scalar_loop` steps
+the scalar engine per access, and :func:`run_vectorized` streams the
+trace through the batched engine chunk by chunk.  Batched results are
+**bit-identical** to the scalar engine's: every result field,
 every TLB/cache/walker counter, final TLB contents, metrics snapshots,
 abort/warmup accounting, and — when a trace sink is attached — the
 traced event stream byte-for-byte (property-tested in
@@ -82,8 +87,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.common.errors import ContiguousAllocationError, MEHPTError
-from repro.faults.log import EVENT_ABORT
+from repro.common.errors import MEHPTError
 from repro.hashing.clustered import PAGE_SHIFT
 from repro.hashing.hashes import mix64_array
 from repro.kernel.address_space import AddressSpace
@@ -138,6 +142,48 @@ class StaticThpSizer:
             covered |= (base >= start) & (base + PAGES_PER_2M <= end)
         codes[(backed & covered)[inverse]] = self.code_2m
         return codes
+
+
+class ScalarEngine:
+    """The per-access reference step over the real TLBs and tables.
+
+    :meth:`step` is the only place the translate → fault → fill
+    sequence is written.  It works on the real objects, so
+    :meth:`write_back` has nothing to install.
+    """
+
+    def __init__(self, system) -> None:
+        tlb = system.tlb
+        self._translate = tlb.translate
+        self._fill = tlb.fill
+        self._fault = system.address_space.handle_fault
+        #: Translation cycles of every access stepped so far.  An access
+        #: is charged before its fault runs, so an aborting one counts.
+        self.cycles = 0.0
+
+    def step(self, vpn: int) -> None:
+        """Translate ``vpn``; on a fault, service it and fill the TLBs.
+
+        ``fill`` shifts the VPN by the page size, so a 2MB fill of any
+        VPN installs its region's entry.
+        """
+        outcome = self._translate(vpn)
+        self.cycles += outcome.cycles
+        if outcome.level == "fault":
+            self._fill(vpn, self._fault(vpn).page_size)
+
+    def run_chunk(self, chunk: np.ndarray) -> float:
+        """Step through ``chunk``; returns its translation cycles."""
+        start = self.cycles
+        step = self.step
+        # One bulk numpy->int conversion per chunk; the loop then runs
+        # on plain ints.
+        for vpn in chunk.tolist():
+            step(vpn)
+        return self.cycles - start
+
+    def write_back(self) -> None:
+        """Nothing to install: every step updated the real TLBs."""
 
 
 def _apply_counters(
@@ -243,14 +289,15 @@ class BatchedEngine:
         chunk: np.ndarray,
         around_miss: Optional[Callable[[int], None]] = None,
         on_flush: Optional[Callable[[WalkFlush], None]] = None,
-    ) -> None:
-        """Resolve ``chunk`` exactly as the scalar loop would.
+    ) -> float:
+        """Resolve ``chunk`` exactly as the scalar engine would.
 
         The misses are planned in trace order.  Before a planned fault
         the batcher seals its pending walks if the fault inserts a
         cuckoo line; then the real fault handler runs.  Pending walks
         are drained at the end and the chunk's TLB counters applied;
-        :attr:`level` and :attr:`cycles` hold the per-access results.
+        :attr:`level` and :attr:`cycles` hold the per-access results
+        and their sum is returned.
 
         ``around_miss(local)`` runs before each miss and
         ``around_miss(local + 1)`` after it (the invariant cadence).
@@ -298,6 +345,7 @@ class BatchedEngine:
                 if around_miss is not None:
                     around_miss(local + 1)
             self._drain(on_flush)
+            return float(cycles.sum())
         except MEHPTError:
             self.aborted_at = local
             counted = local + 1
@@ -360,6 +408,7 @@ def run_vectorized(
         ABORT_ERRORS,
         LoopOutcome,
         check_system_invariants,
+        record_abort,
     )
 
     engine = BatchedEngine(system)
@@ -448,7 +497,7 @@ def run_vectorized(
                 )
 
         try:
-            engine.run_chunk(
+            total = engine.run_chunk(
                 chunk,
                 around_miss=_catch_up if check_every else None,
                 on_flush=_emit_walks if tracer_on else None,
@@ -456,11 +505,7 @@ def run_vectorized(
             _catch_up(n)
         except ABORT_ERRORS as exc:
             outcome.failed = True
-            outcome.reason = str(exc)
-            if not isinstance(exc, ContiguousAllocationError):
-                system.degradation.record(
-                    EVENT_ABORT, "trace", error=type(exc).__name__,
-                )
+            outcome.reason = record_abort(system, exc, "trace")
             aborted_at = engine.aborted_at
             outcome.events_done = base + aborted_at
             # The aborting access is counted but never completes.
@@ -476,7 +521,7 @@ def run_vectorized(
                 _warm_snapshot(boundary - base + 1)
             return outcome
 
-        outcome.total_cycles += float(engine.cycles.sum())
+        outcome.total_cycles += total
         if not warm_taken and boundary < base + n:
             _warm_snapshot(boundary - base + 1)
             warm_taken = True

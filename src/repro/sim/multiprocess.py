@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from repro.common.errors import ConfigurationError
 from repro.kernel.context import ContextSwitchModel
 from repro.kernel.process import Process
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SimulationConfig, check_trace_length
 from repro.sim.quantum import QuantumEngine
 from repro.workloads import get_workload
 
@@ -62,6 +62,7 @@ class MultiProcessSimulator:
     ) -> None:
         if not apps:
             raise ConfigurationError("need at least one process")
+        check_trace_length(trace_length)
         if quantum < 1:
             raise ConfigurationError("quantum must be positive")
         if config.obs is not None:
@@ -74,37 +75,22 @@ class MultiProcessSimulator:
         self.switch_model = switch_model if switch_model is not None else ContextSwitchModel()
         self.processes: List[Process] = []
         self._systems = []
+        #: One quantum driver per process, each with a private cache
+        #: mirror when the engine is batched.
+        self.drivers: List[QuantumEngine] = []
         for index, app in enumerate(apps):
             workload = get_workload(app, scale=config.scale, seed=config.seed + index)
             system = config.build(workload)
-            self._systems.append(system)
-            l2p = getattr(system.page_tables, "l2p", None)
-            self.processes.append(
-                Process(
-                    name=f"{app}#{index}",
-                    address_space=system.address_space,
-                    tlb=system.tlb,
-                    trace=workload.trace(trace_length, seed_offset=index),
-                    l2p=l2p,
-                )
+            process = Process(
+                name=f"{app}#{index}",
+                address_space=system.address_space,
+                tlb=system.tlb,
+                trace=workload.trace(trace_length, seed_offset=index),
+                l2p=getattr(system.page_tables, "l2p", None),
             )
-        # Engine selection (SimulationConfig.engine): per-process
-        # batched quantum engines with private cache mirrors.
-        self._engines: Dict[int, QuantumEngine] = {}
-        if config.resolve_engine() == "vectorized":
-            self._engines = {
-                i: QuantumEngine(process, system)
-                for i, (process, system) in enumerate(
-                    zip(self.processes, self._systems)
-                )
-            }
-
-    def _run_quantum(self, index: int, process: Process) -> float:
-        """One quantum through the selected engine."""
-        engine = self._engines.get(index)
-        if engine is not None:
-            return engine.run_quantum(self.quantum)
-        return process.run_quantum(self.quantum)
+            self._systems.append(system)
+            self.processes.append(process)
+            self.drivers.append(QuantumEngine(process, system))
 
     def run(self) -> MultiProcessResult:
         """Run every process to completion; return aggregate costs."""
@@ -113,10 +99,10 @@ class MultiProcessSimulator:
         l2p_cycles = 0.0
         l2p_samples: List[int] = []
         current: Optional[Process] = None
-        index_of = {id(p): i for i, p in enumerate(self.processes)}
-        runnable = [p for p in self.processes if not p.finished]
+        runnable = [d for d in self.drivers if not d.process.finished]
         while runnable:
-            for process in list(runnable):
+            for driver in runnable:
+                process = driver.process
                 if current is not process:
                     base = self.switch_model.base_cycles
                     cost = self.switch_model.switch_cost(
@@ -126,14 +112,14 @@ class MultiProcessSimulator:
                     switch_cycles += cost
                     l2p_cycles += cost - base
                     current = process
-                total_cycles += self._run_quantum(index_of[id(process)], process)
+                total_cycles += driver.run_quantum(self.quantum)
                 # Sample after the quantum: the entries the process has
                 # actually populated are what the next switch must save.
                 # (Sampling before the first quantum reads a cold L2P
                 # and biases the mean low.)
                 if process.l2p is not None:
                     l2p_samples.append(process.l2p.entries_used())
-            runnable = [p for p in self.processes if not p.finished]
+            runnable = [d for d in self.drivers if not d.process.finished]
         total_cycles += switch_cycles
         return MultiProcessResult(
             organization=self.config.organization,

@@ -1,16 +1,18 @@
-"""Batched quantum engine for multi-tenant and multi-process runs.
+"""The quantum driver for multi-tenant and multi-process runs.
 
-:class:`QuantumEngine` drives the single-process fast path's
-:class:`~repro.sim.fastpath.BatchedEngine` one scheduling quantum at a
-time.  One engine per process holds suspendable batched state —
-:class:`~repro.mmu.tlb_array.ArrayTlb` mirrors of the process's L1/L2
-TLBs, a :class:`~repro.sim.fastpath.StaticThpSizer`, and a
-:mod:`repro.mmu.walk_batch` Plan/Seal/Flush batcher — that survives
-across context switches, so each quantum is processed as one numpy
-chunk instead of one Python int at a time.
+:class:`QuantumEngine` runs one process's trace a scheduling quantum at
+a time.  It owns the process cursor and holds the engine
+``SimulationConfig.resolve_engine()`` picks once, when the driver is
+built: a :class:`~repro.sim.fastpath.ScalarEngine` steps the quantum
+access by access on the real objects, a
+:class:`~repro.sim.fastpath.BatchedEngine` resolves it as one numpy
+chunk.  Batched state — :class:`~repro.mmu.tlb_array.ArrayTlb` mirrors
+of the process's L1/L2 TLBs, a
+:class:`~repro.sim.fastpath.StaticThpSizer`, and a
+:mod:`repro.mmu.walk_batch` Plan/Seal/Flush batcher — survives across
+context switches.
 
-Bit-identity contract (mirrors :meth:`repro.kernel.process.Process.
-run_quantum` exactly):
+Bit-identity contract (the batched engine against the scalar one):
 
 * Per-quantum hit levels come from the engine's offline-LRU batch
   probes; the leave-at-MRU invariant holds across quanta because
@@ -21,11 +23,11 @@ run_quantum` exactly):
   is replicated as batched per-socket adds at each drain — exact,
   because the active socket is fixed for the whole quantum and cycle
   values are integer-valued floats below 2**53.
-* On an abort raised by the fault handler the engine settles the
-  prefix — pending walks flushed, counters applied through the aborting
-  access, TLB contents written back as they stood before it — and the
-  exception propagates with the process cursor and cycles untouched:
-  the scalar loop's exact exception semantics.
+* On an abort raised by the fault handler the batched engine settles
+  the prefix — pending walks flushed, counters applied through the
+  aborting access, TLB contents written back as they stood before it.
+  Under either engine the exception propagates with the process
+  cursor, cycles and access count untouched.
 * TLB mirrors are written back into the real TLB lists when the process
   finishes (or is torn down mid-run, or a datacenter run fails), so
   final TLB contents equal the scalar engine's.
@@ -34,8 +36,8 @@ The datacenter simulator shares one
 :class:`~repro.mmu.walk_batch.NumaCacheBatch` across every tenant's
 batcher — tenants share the machine's cache hierarchy, and per-quantum
 flushing keeps the global line stream in exactly the scalar
-interleaving.  The multi-process simulator gives each engine its own
-private cache mirror, matching its per-process hierarchies.
+interleaving.  The multi-process simulator gives each batched engine
+its own private cache mirror, matching its per-process hierarchies.
 """
 
 from __future__ import annotations
@@ -45,11 +47,16 @@ from typing import Optional
 import numpy as np
 
 from repro.mmu.walk_batch import CacheBatch
-from repro.sim.fastpath import BatchedEngine
+from repro.sim.fastpath import BatchedEngine, ScalarEngine
 
 
-class QuantumEngine(BatchedEngine):
-    """One process's batched engine, run a scheduling quantum at a time."""
+class QuantumEngine:
+    """One process's trace cursor over the engine its config picks.
+
+    ``caches`` and ``machine`` reach only a batched engine (see
+    :class:`~repro.sim.fastpath.BatchedEngine`); the scalar engine
+    walks the system's real caches and charges its NUMA hook itself.
+    """
 
     def __init__(
         self,
@@ -58,25 +65,25 @@ class QuantumEngine(BatchedEngine):
         caches: Optional[CacheBatch] = None,
         machine=None,
     ) -> None:
-        super().__init__(system, caches=caches, machine=machine)
         self.process = process
+        if system.config.resolve_engine() == "vectorized":
+            self.engine = BatchedEngine(system, caches=caches, machine=machine)
+        else:
+            self.engine = ScalarEngine(system)
         self._finalized = False
 
     def run_quantum(self, quantum: int) -> float:
         """Execute up to ``quantum`` accesses; returns the cycles spent.
 
-        Drop-in replacement for the scalar
-        :meth:`~repro.kernel.process.Process.run_quantum`: updates the
-        same process fields, returns the same float, raises the same
-        exceptions at the same access.
+        An abort raised by the fault handler propagates and leaves the
+        process's cursor, cycles and access count unchanged.
         """
         process = self.process
         start = process.cursor
         end = min(start + quantum, len(process.trace))
-        self.run_chunk(
+        total = self.engine.run_chunk(
             np.ascontiguousarray(process.trace[start:end], dtype=np.int64)
         )
-        total = float(self.cycles.sum())
         process.accesses_done += end - start
         process.cursor = end
         process.cycles += total
@@ -86,7 +93,7 @@ class QuantumEngine(BatchedEngine):
         return total
 
     def finalize(self) -> None:
-        """Write the mirrors back once; later calls are no-ops.
+        """Write the engine back once; later calls are no-ops.
 
         Called when the process finishes, is torn down mid-run or its
         datacenter run fails, so the real TLB lists hold exactly what
@@ -94,4 +101,4 @@ class QuantumEngine(BatchedEngine):
         """
         if not self._finalized:
             self._finalized = True
-            self.write_back()
+            self.engine.write_back()

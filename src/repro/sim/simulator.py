@@ -23,17 +23,18 @@ from repro.common.errors import (
     ConfigurationError,
     ContiguousAllocationError,
     L2POverflowError,
+    MEHPTError,
     SimulationError,
     TableFullError,
 )
 from repro.faults.log import EVENT_ABORT
-from repro.kernel.thp import PAGES_PER_2M
 from repro.obs.trace import (
     EVENT_MEASURE_START,
     EVENT_RUN_END,
     EVENT_RUN_START,
 )
-from repro.sim.config import SimulatedSystem, SimulationConfig
+from repro.sim.config import SimulatedSystem, SimulationConfig, check_trace_length
+from repro.sim.fastpath import ScalarEngine
 from repro.sim.results import MemoryFootprintResult, PerformanceResult
 from repro.workloads.base import Workload
 
@@ -70,6 +71,17 @@ class LoopOutcome:
     warm_faults: int = 0
     failed: bool = False
     reason: str = ""
+
+
+def record_abort(system: SimulatedSystem, exc: MEHPTError, phase: str) -> str:
+    """Log a survived abort of ``phase``; returns the failure reason.
+
+    Allocation failures already logged their abort in the allocator;
+    the structural ones are recorded here.
+    """
+    if not isinstance(exc, ContiguousAllocationError):
+        system.degradation.record(EVENT_ABORT, phase, error=type(exc).__name__)
+    return str(exc)
 
 
 def check_system_invariants(system: SimulatedSystem, progress: int) -> None:
@@ -144,13 +156,7 @@ def memory_result(system: SimulatedSystem, populate: bool = True) -> MemoryFootp
             populate_tables(system)
         except ABORT_ERRORS as exc:
             failed = True
-            reason = str(exc)
-            # Allocation failures already logged their abort in the
-            # allocator; record the structural ones here.
-            if not isinstance(exc, ContiguousAllocationError):
-                system.degradation.record(
-                    EVENT_ABORT, "populate", error=type(exc).__name__,
-                )
+            reason = record_abort(system, exc, "populate")
     tables = system.page_tables
     totals = system.address_space.totals
     result = MemoryFootprintResult(
@@ -186,11 +192,7 @@ class TranslationSimulator:
         if workload is None:
             # Trace-driven path: the config names a .vpt file to replay.
             workload = config.load_trace_workload()
-        if trace_length <= 0:
-            raise ConfigurationError(
-                f"trace_length {trace_length} must be > 0",
-                field="trace_length", value=trace_length,
-            )
+        check_trace_length(trace_length)
         if not 0.0 <= warmup_fraction < 1.0:
             raise ConfigurationError(
                 f"warmup_fraction {warmup_fraction} must be in [0, 1) — the "
@@ -215,17 +217,19 @@ class TranslationSimulator:
     def _scalar_loop(
         self, system: SimulatedSystem, warmup_events: int
     ) -> LoopOutcome:
-        """The per-access reference engine (the oracle for equivalence).
+        """The per-access reference loop (the oracle for equivalence).
 
+        Steps a :class:`~repro.sim.fastpath.ScalarEngine` through the
+        trace and adds the invariant checks, the trace clock, the
+        warmup snapshot and abort recording at exact event indices.
         Feeds from :meth:`~repro.workloads.base.Workload.trace_chunks`
         so even scalar runs never materialize the whole trace.
         """
         tlb = system.tlb
-        aspace = system.address_space
         obs = system.obs
         out = LoopOutcome()
-        translate_fn = tlb.translate
-        fault_fn = aspace.handle_fault
+        engine = ScalarEngine(system)
+        step = engine.step
         check_every = self.config.invariant_check_every
         # The sim-cycle clock only stamps trace events; skip the
         # per-access advance when no trace sink is attached.
@@ -234,7 +238,6 @@ class TranslationSimulator:
             if obs is not None and obs.tracer is not None
             else None
         )
-        total_cycles = 0.0
         events_done = 0
         i = 0
         try:
@@ -242,39 +245,27 @@ class TranslationSimulator:
                 self.trace_length, self.engine_chunk or DEFAULT_TRACE_CHUNK
             ):
                 for vpn in chunk.tolist():
-                    outcome = translate_fn(vpn)
-                    total_cycles += outcome.cycles
-                    if outcome.level == "fault":
-                        fault = fault_fn(vpn)
-                        tlb.fill(
-                            vpn if fault.page_size != "2M"
-                            else aspace.thp.region_base(vpn),
-                            fault.page_size,
-                        )
+                    step(vpn)
                     if check_every and i % check_every == 0 and i:
                         check_system_invariants(system, i)
                     if clock is not None:
                         # The sim-cycle clock is the accumulated translation
                         # cost; events emitted while servicing access i carry
                         # the clock at the access's start.
-                        clock(int(total_cycles))
+                        clock(int(engine.cycles))
                     i += 1
                     events_done = i
                     if events_done == warmup_events:
-                        out.warm_cycles = total_cycles
+                        out.warm_cycles = engine.cycles
                         out.warm_l1, out.warm_l2 = tlb.l1_hits, tlb.l2_hits
                         out.warm_walks, out.warm_faults = tlb.walks, tlb.faults
                         if obs is not None:
                             obs.emit(EVENT_MEASURE_START, event=events_done)
         except ABORT_ERRORS as exc:
             out.failed = True
-            out.reason = str(exc)
-            if not isinstance(exc, ContiguousAllocationError):
-                system.degradation.record(
-                    EVENT_ABORT, "trace", error=type(exc).__name__,
-                )
+            out.reason = record_abort(system, exc, "trace")
         out.events_done = events_done
-        out.total_cycles = total_cycles
+        out.total_cycles = engine.cycles
         return out
 
     def run(self) -> PerformanceResult:

@@ -231,18 +231,13 @@ class TestSnapshots:
         # tests/test_traces.py); fuzz.* only fire inside the fuzzer
         # pipeline (covered by tests/test_fuzz_*.py); serve.* only fire
         # inside the translation service (covered by
-        # tests/test_serve_server.py); fastpath.quantum_*/numa.batch_*
-        # are engine diagnostics deliberately stripped from result
-        # snapshots so cached sweep cells stay engine-independent
-        # (covered by tests/test_sim_quantum.py).
+        # tests/test_serve_server.py).
         missing = set(CATALOGUE) - seen - {
             "faults.events", "sim.populated_pages", "traces.checksum_failures",
         }
         missing = {
             name for name in missing
-            if not name.startswith(
-                ("fuzz.", "serve.", "fastpath.quantum_", "numa.batch_")
-            )
+            if not name.startswith(("fuzz.", "serve."))
         }
         assert not missing, f"catalogued but never produced: {sorted(missing)}"
 

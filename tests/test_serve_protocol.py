@@ -127,6 +127,15 @@ class TestRejections:
         (_body(kind="datacenter",
                overrides={"dc_frag_fraction": float("inf")}),
          "dc_frag_fraction"),
+        (_body(settings={"trace_length": 0}), "trace_length 0 must be > 0"),
+        (_body(settings={"trace_length": -5}), "trace_length -5 must be > 0"),
+        (_body(settings={"trace_length": 1.5}), "trace_length must be an integer"),
+        (_body(kind="datacenter", settings={"trace_length": 0}),
+         "trace_length 0 must be > 0"),
+        (_body(settings={"seed": 1.5}), "seed must be an integer"),
+        (_body(settings={"scale": 2.0}), "scale must be an integer"),
+        (_body(settings={"warmup_fraction": 1.0}), "warmup_fraction"),
+        (_body(settings={"warmup_fraction": -0.1}), "warmup_fraction"),
     ])
     def test_bad_payload_raises_protocol_error(self, payload, fragment):
         with pytest.raises(ProtocolError) as excinfo:

