@@ -90,7 +90,7 @@ def settings_fingerprint(kind: str, settings) -> Dict[str, object]:
         fingerprint["trace_length"] = settings.trace_length
     if kind == "perf":
         fingerprint["base_cycles_per_access"] = settings.base_cycles_per_access
-        fingerprint["warmup_fraction"] = getattr(settings, "warmup_fraction", 0.0)
+        fingerprint["warmup_fraction"] = settings.warmup_fraction
     return fingerprint
 
 
@@ -189,7 +189,7 @@ def _compute_cell(
         workload,
         config,
         trace_length=settings.trace_length,
-        warmup_fraction=getattr(settings, "warmup_fraction", 0.0),
+        warmup_fraction=settings.warmup_fraction,
     )
     return simulator.run()
 

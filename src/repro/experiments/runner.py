@@ -22,7 +22,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.experiments import engine as _engine
-from repro.sim.config import SimulationConfig, check_trace_length, fits_field
+from repro.sim.config import (
+    SimulationConfig,
+    check_trace_length,
+    check_warmup_fraction,
+    fits_field,
+)
 from repro.sim.results import MemoryFootprintResult, PerformanceResult
 from repro.workloads import workload_names
 
@@ -57,11 +62,7 @@ class ExperimentSettings:
                     field=name, value=value,
                 )
         check_trace_length(self.trace_length)
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigurationError(
-                f"warmup_fraction {self.warmup_fraction} must be in [0, 1)",
-                field="warmup_fraction", value=self.warmup_fraction,
-            )
+        check_warmup_fraction(self.warmup_fraction)
 
     def app_list(self) -> List[str]:
         return list(self.apps) if self.apps else workload_names()

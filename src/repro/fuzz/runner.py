@@ -167,7 +167,7 @@ def run_org(
     """Run one organization over the trace and classify its outcome."""
     try:
         result = _run_engine(
-            scenario, organization, trace_path, trace_length, "auto"
+            scenario, organization, trace_path, trace_length, "vectorized"
         )
     except SimulationError as exc:
         return OrgOutcome(
@@ -212,9 +212,6 @@ def run_org(
             scalar = _run_engine(
                 scenario, organization, trace_path, trace_length, "scalar"
             )
-            vectorized = _run_engine(
-                scenario, organization, trace_path, trace_length, "vectorized"
-            )
         except SimulationError as exc:
             outcome.failure_class = CLASS_INVARIANT
             outcome.detail = repr(exc)
@@ -223,7 +220,7 @@ def run_org(
             outcome.failure_class = CLASS_NON_GRACEFUL
             outcome.detail = f"{type(exc).__name__}: {exc}"
             return outcome
-        if _comparable(scalar) != _comparable(vectorized):
+        if _comparable(scalar) != _comparable(result):
             outcome.failure_class = CLASS_DIVERGENCE
             outcome.detail = "scalar and vectorized engines disagree"
     return outcome

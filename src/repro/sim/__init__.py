@@ -6,11 +6,11 @@
 * :mod:`repro.sim.organizations` — one object per page-table
   organization, owning every decision that depends on which one a run
   uses.
-* :mod:`repro.sim.simulator` — the per-access simulation loop and the
-  footprint populator used by the memory experiments.
-* :mod:`repro.sim.fastpath` — the scalar reference engine and the
+* :mod:`repro.sim.simulator` — the trace simulator and the footprint
+  populator used by the memory experiments.
+* :mod:`repro.sim.fastpath` — the scalar reference engine, the
   vectorized batched engine (bit-identical results, selected via
-  ``SimulationConfig.engine``).
+  ``SimulationConfig.engine``) and the single-process driver for both.
 * :mod:`repro.sim.quantum` — the quantum driver the multi-process and
   datacenter schedulers run each process's trace through.
 * :mod:`repro.sim.results` — result containers, the differential

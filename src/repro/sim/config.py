@@ -74,6 +74,16 @@ def check_trace_length(trace_length: int) -> None:
         )
 
 
+def check_warmup_fraction(warmup_fraction: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``0 <= warmup_fraction < 1``."""
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigurationError(
+            f"warmup_fraction {warmup_fraction} must be in [0, 1) — the "
+            f"measured window must be non-empty",
+            field="warmup_fraction", value=warmup_fraction,
+        )
+
+
 @dataclass
 class SimulationConfig:
     """All machine and methodology parameters (defaults = Table III)."""
@@ -191,8 +201,9 @@ class SimulationConfig:
         """The engine the simulator will actually run: scalar or vectorized.
 
         ``auto`` selects the vectorized engine.  Tracing no longer forces
-        the scalar loop: the batched engine synthesizes the per-access
+        the scalar engine: the batched engine synthesizes the per-access
         event stream from its batch results, byte-identically.
+        :func:`repro.sim.fastpath.make_engine` is the one caller.
         """
         return "scalar" if self.engine == "scalar" else "vectorized"
 

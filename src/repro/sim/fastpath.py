@@ -18,20 +18,21 @@ hierarchy; only accesses that mutate simulator state — demand faults,
 with their kicks, resizes and allocations — run through the real fault
 handler, in global trace order.
 
-Both engines expose ``run_chunk(chunk) -> cycles`` and ``write_back()``,
-so :class:`~repro.sim.quantum.QuantumEngine` drives either one a
-scheduling quantum per call.  Single-process runs drive them through
-their own loops, which add the warmup snapshot, the invariant-check
-cadence, tracing and abort recording:
-:meth:`~repro.sim.simulator.TranslationSimulator._scalar_loop` steps
-the scalar engine per access, and :func:`run_vectorized` streams the
-trace through the batched engine chunk by chunk.  Batched results are
+Both engines expose ``run_chunk(chunk) -> cycles``, a running
+``cycles`` total, ``aborted_at`` and ``write_back()``, and
+:func:`make_engine` builds the one ``SimulationConfig.engine`` picks.
+:class:`~repro.sim.quantum.QuantumEngine` drives either one a
+scheduling quantum per call; :func:`run_vectorized` is the one
+single-process driver, streaming the trace through either engine piece
+by piece and adding the warmup snapshot, the invariant-check cadence
+and abort recording between pieces.  Batched results are
 **bit-identical** to the scalar engine's: every result field,
 every TLB/cache/walker counter, final TLB contents, metrics snapshots,
 abort/warmup accounting, and — when a trace sink is attached — the
 traced event stream byte-for-byte (property-tested in
 ``tests/test_sim_fastpath.py``, ``tests/test_sim_quantum.py`` and
-``tests/test_obs_trace_equivalence.py``).
+``tests/test_obs_trace_equivalence.py``).  A failing invariant check
+stops both engines after the same access, with the same state.
 
 What makes exactness possible:
 
@@ -59,31 +60,19 @@ What makes exactness possible:
   abort are those after the completed prefix: the engine rewinds its
   mirrors to the chunk start and re-probes the prefix.
 
-Event tracing composes with this engine: the scalar engine's per-access
-events (``walk_start``/``walk_end``/``tlb_miss``/``measure_start``) are
+Event tracing composes with the batched engine: the scalar engine's
+per-access events (``walk_start``/``walk_end``/``tlb_miss``) are
 synthesized from the batch results in per-access order with the exact
 scalar clock values, while fault-path events (``fault_serviced``,
 kicks, resizes, chunk transitions) are emitted live by the real fault
 machinery.  The synthesized emit-call sequence equals the scalar
 engine's, so per-kind sampling counters, sequence numbers and therefore
 the JSONL/ring-buffer output are byte-identical.
-
-Ordering contract for invariant checks: the scalar engine checks
-invariants after every ``invariant_check_every``-th access; this engine
-performs the same *set* of checks against the same page-table states —
-faults are the only mutations and checks are caught up around each
-miss and at chunk end — so any check that fails in one engine fails in
-the other with the same ``progress`` value.  The only divergence is
-*when* a failing check raises relative to hit-only accesses between two
-faults: the vectorized engine may execute those accesses (and, when
-tracing, emit later walks' events) before the deferred check fires.
-Counters and traces of *completed* runs are unaffected; only the
-partial state observed after an uncaught ``SimulationError`` differs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -157,9 +146,20 @@ class ScalarEngine:
         self._translate = tlb.translate
         self._fill = tlb.fill
         self._fault = system.address_space.handle_fault
+        obs = system.obs
+        # The sim-cycle clock only stamps trace events; untraced runs
+        # skip the per-access advance.
+        self._clock = (
+            obs.advance_clock
+            if obs is not None and obs.tracer is not None
+            else None
+        )
         #: Translation cycles of every access stepped so far.  An access
         #: is charged before its fault runs, so an aborting one counts.
         self.cycles = 0.0
+        #: The chunk index of the access that aborted the last chunk
+        #: (-1 = none).
+        self.aborted_at = -1
 
     def step(self, vpn: int) -> None:
         """Translate ``vpn``; on a fault, service it and fill the TLBs.
@@ -173,13 +173,31 @@ class ScalarEngine:
             self._fill(vpn, self._fault(vpn).page_size)
 
     def run_chunk(self, chunk: np.ndarray) -> float:
-        """Step through ``chunk``; returns its translation cycles."""
+        """Step through ``chunk``; returns its translation cycles.
+
+        With a trace sink attached the clock moves to the running total
+        after each access, so events emitted while servicing an access
+        carry the clock at its start.
+        """
         start = self.cycles
         step = self.step
-        # One bulk numpy->int conversion per chunk; the loop then runs
+        clock = self._clock
+        self.aborted_at = -1
+        # One bulk numpy->int conversion per chunk; the loops then run
         # on plain ints.
-        for vpn in chunk.tolist():
-            step(vpn)
+        vpns = iter(chunk.tolist())
+        try:
+            if clock is None:
+                for vpn in vpns:
+                    step(vpn)
+            else:
+                for vpn in vpns:
+                    step(vpn)
+                    clock(int(self.cycles))
+        except MEHPTError:
+            # The iterator stopped just past the aborting access.
+            self.aborted_at = int(chunk.size) - 1 - len(list(vpns))
+            raise
         return self.cycles - start
 
     def write_back(self) -> None:
@@ -250,11 +268,21 @@ class BatchedEngine:
         self.l2_arr = {size: ArrayTlb.from_tlb(t) for size, t in tlb.l2.items()}
         self._owns_caches = caches is None
         self.batcher = make_walk_batch(system, self.sizes, caches=caches)
-        #: The last chunk's per-access resolutions (0 = L1 hit, 1 = L2
-        #: hit, 2 = walk, 3 = fault) and cycles, and the chunk index of
+        obs = system.obs
+        #: Where drained walks' events go: the traced system's
+        #: observability context, or None when no trace sink is attached.
+        self.obs = obs if obs is not None and obs.tracer is not None else None
+        #: Translation cycles of every access resolved so far, an
+        #: aborting one included.
+        self.cycles = 0.0
+        #: The last chunk's per-access cycles, and the chunk index of
         #: the access that aborted it (-1 = none).
-        self.level = self.cycles = None
+        self.access_cycles = None
         self.aborted_at = -1
+        # Traced runs: the chunk accesses whose cycles the trace clock
+        # has folded in so far, and the clock after them.
+        self._clock_local = 0
+        self._clock_cycles = 0.0
 
     def _probe(self, chunk: np.ndarray, stream: np.ndarray):
         """Run ``chunk`` through the per-size L1/L2 mirrors.
@@ -284,43 +312,35 @@ class BatchedEngine:
             level[l1_miss[~l2_hit]] = 2
         return level, cycles
 
-    def run_chunk(
-        self,
-        chunk: np.ndarray,
-        around_miss: Optional[Callable[[int], None]] = None,
-        on_flush: Optional[Callable[[WalkFlush], None]] = None,
-    ) -> float:
+    def run_chunk(self, chunk: np.ndarray) -> float:
         """Resolve ``chunk`` exactly as the scalar engine would.
 
         The misses are planned in trace order.  Before a planned fault
         the batcher seals its pending walks if the fault inserts a
-        cuckoo line; then the real fault handler runs.  Pending walks
-        are drained at the end and the chunk's TLB counters applied;
-        :attr:`level` and :attr:`cycles` hold the per-access results
-        and their sum is returned.
+        cuckoo line — or, with a trace sink attached, drains them, so
+        the walks' events precede the fault's at the right clock; then
+        the real fault handler runs.  Pending walks are drained at the
+        end, the chunk's TLB counters applied and its cycles, which are
+        returned, added to :attr:`cycles`; a traced run then advances
+        the clock to that total.
 
-        ``around_miss(local)`` runs before each miss and
-        ``around_miss(local + 1)`` after it (the invariant cadence).
-        With ``on_flush`` every drain passes its
-        :class:`~repro.mmu.walk_batch.WalkFlush` to it, and pending
-        walks are drained before every fault instead of sealed, so
-        traced fault-path events land at the right clock.
-
-        If the fault handler (or a hook) raises a model error, the
-        prefix is settled before it propagates: pending walks are
-        drained, counters cover the accesses through :attr:`aborted_at`
-        (whose lookups all missed), and the TLB mirrors are rewound to
-        the chunk start, re-probed with the completed accesses and
-        written back.
+        If the fault handler raises a model error, the prefix is
+        settled before it propagates: pending walks are drained,
+        :attr:`cycles` and the counters cover the accesses through
+        :attr:`aborted_at` (whose lookups all missed), and the TLB
+        mirrors are rewound to the chunk start, re-probed with the
+        completed accesses and written back.
         """
         stream = self.sizer.codes(chunk)
         mirrors = [*self.l1_arr.values(), *self.l2_arr.values()]
         saved = [(arr.tags.copy(), arr.ages.copy()) for arr in mirrors]
-        level, cycles = self._probe(chunk, stream)
-        self.level, self.cycles = level, cycles
+        level, access_cycles = self._probe(chunk, stream)
+        self.access_cycles = access_cycles
         self.aborted_at = -1
+        self._clock_local, self._clock_cycles = 0, self.cycles
         batcher = self.batcher
         sizes = self.sizes
+        obs = self.obs
         fault_fn = self.system.address_space.handle_fault
         counted = int(chunk.size)
         local = -1
@@ -329,43 +349,46 @@ class BatchedEngine:
             for local, vpn, code in zip(
                 misses.tolist(), chunk[misses].tolist(), stream[misses].tolist()
             ):
-                if around_miss is not None:
-                    around_miss(local)
                 if batcher.plan(local, vpn, code):
-                    if on_flush is None:
+                    if obs is None:
                         batcher.before_fault()
                     else:
-                        self._drain(on_flush)
+                        self._drain()
                     level[local] = 3
                     fault = fault_fn(vpn)
                     batcher.after_fault()
                     assert fault.page_size == sizes[code], (
                         "static page-size prediction diverged from the kernel"
                     )
-                if around_miss is not None:
-                    around_miss(local + 1)
-            self._drain(on_flush)
-            return float(cycles.sum())
+            self._drain()
         except MEHPTError:
             self.aborted_at = local
             counted = local + 1
-            self._drain(on_flush)
+            self._drain()
             for arr, (tags, ages) in zip(mirrors, saved):
                 arr.tags, arr.ages = tags, ages
             self._probe(chunk[:local], stream[:local])
             self.write_back()
             raise
         finally:
+            total = float(access_cycles[:counted].sum())
+            self.cycles += total
             _apply_counters(
                 self.system.tlb, sizes, level[:counted], stream[:counted]
             )
+        if obs is not None:
+            obs.advance_clock(int(self.cycles))
+        return total
 
-    def _drain(self, on_flush) -> None:
-        """Flush pending walks: scatter cycles, charge the NUMA hook."""
+    def _drain(self) -> None:
+        """Flush pending walks: scatter cycles, charge the NUMA hook.
+
+        A traced run also emits the drained walks' events.
+        """
         result = self.batcher.flush()
         if result is None:
             return
-        self.cycles[result.locals_] = self.l2_probe_cycles + result.cycles
+        self.access_cycles[result.locals_] = self.l2_probe_cycles + result.cycles
         machine = self.machine
         if machine is not None:
             # Replicates translate()'s per-walk on_walk(walk.cycles):
@@ -374,8 +397,38 @@ class BatchedEngine:
             socket = machine.active_socket
             machine.walks_by_socket[socket] += int(result.locals_.size)
             machine.walk_cycles_by_socket[socket] += float(result.cycles.sum())
-        if on_flush is not None:
-            on_flush(result)
+        if self.obs is not None:
+            self._emit_walks(result)
+
+    def _emit_walks(self, result: WalkFlush) -> None:
+        """Emit the scalar engine's events for drained walks, in order.
+
+        Each walk is stamped with the cycles before the chunk plus
+        those of the chunk's accesses before it: the scalar clock at
+        the access's start.  Every earlier walk has been drained, so
+        those cycles are final.
+        """
+        obs = self.obs
+        access_cycles = self.access_cycles
+        l2_probe_cycles = self.l2_probe_cycles
+        for j, local in enumerate(result.locals_.tolist()):
+            self._clock_cycles += float(
+                access_cycles[self._clock_local:local].sum()
+            )
+            self._clock_local = local
+            obs.advance_clock(int(self._clock_cycles))
+            vpn = result.vpns[j]
+            walk_cycles = int(result.cycles[j])
+            obs.emit(EVENT_WALK_START, walk=result.walk_ids[j], vpn=vpn)
+            obs.emit(
+                EVENT_WALK_END, walk=result.walk_ids[j],
+                cycles=walk_cycles, accesses=int(result.accesses[j]),
+            )
+            obs.emit(
+                EVENT_TLB_MISS, vpn=vpn,
+                level="fault" if result.faults[j] else "walk",
+                cycles=l2_probe_cycles + walk_cycles,
+            )
 
     def write_back(self) -> None:
         """Install the TLB mirrors (and an owned cache mirror) for real."""
@@ -387,6 +440,18 @@ class BatchedEngine:
             self.batcher.caches.write_back()
 
 
+def make_engine(system, caches: Optional[CacheBatch] = None, machine=None):
+    """The engine ``system.config`` picks, built over ``system``.
+
+    ``caches`` and ``machine`` reach only a :class:`BatchedEngine`; the
+    scalar engine walks the system's real caches and charges its NUMA
+    hook itself.
+    """
+    if system.config.resolve_engine() == "vectorized":
+        return BatchedEngine(system, caches=caches, machine=machine)
+    return ScalarEngine(system)
+
+
 def run_vectorized(
     system,
     workload,
@@ -394,13 +459,23 @@ def run_vectorized(
     warmup_events: int,
     chunk_values: Optional[int] = None,
 ):
-    """Run the trace through ``system`` with the batched engine.
+    """Run the trace through ``system`` with the engine its config picks.
 
-    Mirrors the scalar loop of
-    :meth:`~repro.sim.simulator.TranslationSimulator.run` exactly —
-    counters, cycles, warmup snapshot, abort accounting, invariant
-    checks, traced events and final TLB contents — and returns the same
-    :class:`~repro.sim.simulator.LoopOutcome`.
+    The one single-process driver for both engines.  (It kept its name
+    when it took over the scalar loop: the benchmark's span table wraps
+    ``repro.sim.fastpath.run_vectorized`` by name, so renaming it is a
+    benchmark change.)  Each streamed chunk is cut where something
+    happens — after the access an invariant check follows and after
+    the last warmup access — and each piece runs through
+    ``engine.run_chunk``.  Between pieces the driver runs the due
+    check, then takes the warmup snapshot from the live TLB counters
+    and emits ``measure_start``.  A failing check therefore stops
+    either engine after the same access, and the mirrors are written
+    back however the run ends.  With no warmup and no checks each
+    chunk is one piece.
+
+    Returns a :class:`~repro.sim.simulator.LoopOutcome`.  An aborting
+    access counts in its ``total_cycles`` but not in ``events_done``.
     """
     # Lazy: repro.sim.simulator imports repro.sim.results, whose
     # datacenter results pull in repro.sim.quantum and so this module.
@@ -411,129 +486,42 @@ def run_vectorized(
         record_abort,
     )
 
-    engine = BatchedEngine(system)
+    engine = make_engine(system)
     tlb = system.tlb
     obs = system.obs
-    tracer_on = obs is not None and obs.tracer is not None
     check_every = system.config.invariant_check_every
-    next_check = check_every
-    boundary = warmup_events - 1  # global index completing the warmup
-    warm_taken = warmup_events == 0
-    # When warmup_events == 0 the simulator emits measure_start itself.
-    measure_emitted = (not tracer_on) or warmup_events == 0
-
+    # Events done when the next check is due (0 = never): the check
+    # after access i runs once i + 1 events are done.
+    next_check = check_every + 1 if check_every else 0
     outcome = LoopOutcome()
-    base = 0
-    for chunk in workload.trace_chunks(
-        trace_length, chunk_values or DEFAULT_CHUNK_VALUES
-    ):
-        n = int(chunk.size)
-        before_cycles = outcome.total_cycles
-        before = (tlb.l1_hits, tlb.l2_hits, tlb.walks, tlb.faults)
-
-        def _warm_snapshot(prefix: int) -> None:
-            """Record the warmup boundary from this chunk's prefix."""
-            level = engine.level[:prefix]
-            outcome.warm_cycles = before_cycles + float(
-                engine.cycles[:prefix].sum()
-            )
-            outcome.warm_l1 = before[0] + int((level == 0).sum())
-            outcome.warm_l2 = before[1] + int((level == 1).sum())
-            outcome.warm_walks = before[2] + int((level >= 2).sum())
-            outcome.warm_faults = before[3] + int((level == 3).sum())
-
-        def _catch_up(limit: int) -> None:
-            """Run the invariant checks due before chunk index ``limit``."""
-            nonlocal next_check
-            while next_check and next_check < base + limit:
-                check_system_invariants(system, next_check)
-                next_check += check_every
-
-        # -- traced-mode clock / event synthesis -------------------------
-        # Events of access i carry the clock at the access's start: the
-        # cumulative translation cycles through access i-1, exactly as
-        # the scalar loop stamps them.  ``emit_state`` tracks how far
-        # the per-access cycle prefix sum has been folded in; cycles of
-        # batched walks are final before any event referencing them is
-        # emitted (the drain scatters them first).
-        boundary_local = boundary - base
-        emit_state = [0, 0.0]  # [accesses folded into the sum, their sum]
-
-        def _clock_before(local: int) -> int:
-            if local > emit_state[0]:
-                emit_state[1] += float(engine.cycles[emit_state[0]:local].sum())
-                emit_state[0] = local
-            return int(before_cycles + emit_state[1])
-
-        def _measure_before(local: int) -> None:
-            # The scalar loop emits measure_start right after the
-            # warmup-completing access; replicate it before emitting any
-            # later access's events (hit-only accesses emit nothing, so
-            # this preserves the exact event sequence).
-            nonlocal measure_emitted
-            if not measure_emitted and boundary_local < local:
-                obs.advance_clock(_clock_before(boundary_local + 1))
-                obs.emit(EVENT_MEASURE_START, event=warmup_events)
-                measure_emitted = True
-
-        def _emit_walks(result: WalkFlush) -> None:
-            """Emit the drained walks' events in per-access order."""
-            l2_probe_cycles = engine.l2_probe_cycles
-            for j in range(result.locals_.size):
-                local = int(result.locals_[j])
-                vpn = result.vpns[j]
-                walk_cycles = int(result.cycles[j])
-                _measure_before(local)
-                obs.advance_clock(_clock_before(local))
-                obs.emit(EVENT_WALK_START, walk=result.walk_ids[j], vpn=vpn)
-                obs.emit(
-                    EVENT_WALK_END, walk=result.walk_ids[j],
-                    cycles=walk_cycles, accesses=int(result.accesses[j]),
+    done = 0
+    try:
+        for chunk in workload.trace_chunks(
+            trace_length, chunk_values or DEFAULT_CHUNK_VALUES
+        ):
+            base = done
+            end = base + int(chunk.size)
+            while done < end:
+                cut = min(
+                    [end] + [at for at in (next_check, warmup_events) if at > done]
                 )
-                obs.emit(
-                    EVENT_TLB_MISS, vpn=vpn,
-                    level="fault" if result.faults[j] else "walk",
-                    cycles=l2_probe_cycles + walk_cycles,
-                )
-
-        try:
-            total = engine.run_chunk(
-                chunk,
-                around_miss=_catch_up if check_every else None,
-                on_flush=_emit_walks if tracer_on else None,
-            )
-            _catch_up(n)
-        except ABORT_ERRORS as exc:
-            outcome.failed = True
-            outcome.reason = record_abort(system, exc, "trace")
-            aborted_at = engine.aborted_at
-            outcome.events_done = base + aborted_at
-            # The aborting access is counted but never completes.
-            outcome.total_cycles += float(engine.cycles[:aborted_at + 1].sum())
-            # The scalar loop's events_done stops just before the
-            # aborting access, so the warmup window is only closed when
-            # the boundary access lies strictly before it —
-            # `boundary < base + aborted_at` is events_done-based,
-            # intentionally one tighter than the clean path's
-            # `boundary < base + n`.  An abort exactly at the boundary
-            # leaves the run inside warmup, as in the scalar engine.
-            if not warm_taken and boundary < base + aborted_at:
-                _warm_snapshot(boundary - base + 1)
-            return outcome
-
-        outcome.total_cycles += total
-        if not warm_taken and boundary < base + n:
-            _warm_snapshot(boundary - base + 1)
-            warm_taken = True
-        if tracer_on:
-            # measure_start for a warmup boundary inside a hit-only
-            # chunk tail, then the scalar loop's end-of-access clock.
-            _measure_before(n)
-            obs.advance_clock(int(outcome.total_cycles))
-        base += n
-        outcome.events_done = base
-
-    # The mirrors hold the TLB contents after the last access; install
-    # them so post-run inspection sees what the scalar engine leaves.
-    engine.write_back()
+                engine.run_chunk(chunk[done - base:cut - base])
+                done = cut
+                if done == next_check:
+                    check_system_invariants(system, done - 1)
+                    next_check += check_every
+                if done == warmup_events:
+                    outcome.warm_cycles = engine.cycles
+                    outcome.warm_l1, outcome.warm_l2 = tlb.l1_hits, tlb.l2_hits
+                    outcome.warm_walks, outcome.warm_faults = tlb.walks, tlb.faults
+                    if obs is not None:
+                        obs.emit(EVENT_MEASURE_START, event=done)
+    except ABORT_ERRORS as exc:
+        outcome.failed = True
+        outcome.reason = record_abort(system, exc, "trace")
+        done += engine.aborted_at
+    finally:
+        engine.write_back()
+    outcome.events_done = done
+    outcome.total_cycles = engine.cycles
     return outcome

@@ -2,9 +2,10 @@
 
 :class:`QuantumEngine` runs one process's trace a scheduling quantum at
 a time.  It owns the process cursor and holds the engine
-``SimulationConfig.resolve_engine()`` picks once, when the driver is
-built: a :class:`~repro.sim.fastpath.ScalarEngine` steps the quantum
-access by access on the real objects, a
+:func:`~repro.sim.fastpath.make_engine` builds once, when the driver is
+built — the same factory the single-process driver uses: a
+:class:`~repro.sim.fastpath.ScalarEngine` steps the quantum access by
+access on the real objects, a
 :class:`~repro.sim.fastpath.BatchedEngine` resolves it as one numpy
 chunk.  Batched state — :class:`~repro.mmu.tlb_array.ArrayTlb` mirrors
 of the process's L1/L2 TLBs, a
@@ -47,15 +48,15 @@ from typing import Optional
 import numpy as np
 
 from repro.mmu.walk_batch import CacheBatch
-from repro.sim.fastpath import BatchedEngine, ScalarEngine
+from repro.sim.fastpath import make_engine
 
 
 class QuantumEngine:
     """One process's trace cursor over the engine its config picks.
 
-    ``caches`` and ``machine`` reach only a batched engine (see
-    :class:`~repro.sim.fastpath.BatchedEngine`); the scalar engine
-    walks the system's real caches and charges its NUMA hook itself.
+    ``caches`` and ``machine`` go to
+    :func:`~repro.sim.fastpath.make_engine`, which hands them only to a
+    batched engine.
     """
 
     def __init__(
@@ -66,10 +67,7 @@ class QuantumEngine:
         machine=None,
     ) -> None:
         self.process = process
-        if system.config.resolve_engine() == "vectorized":
-            self.engine = BatchedEngine(system, caches=caches, machine=machine)
-        else:
-            self.engine = ScalarEngine(system)
+        self.engine = make_engine(system, caches=caches, machine=machine)
         self._finalized = False
 
     def run_quantum(self, quantum: int) -> float:

@@ -11,6 +11,8 @@ Two entry points:
 * :class:`TranslationSimulator` — run an access trace through the TLB
   hierarchy and walker, demand-faulting as pages are first touched, and
   produce a :class:`~repro.sim.results.PerformanceResult` (Figure 9).
+  The trace goes through :func:`repro.sim.fastpath.run_vectorized`,
+  the single-process driver for whichever engine the config picks.
 """
 
 from __future__ import annotations
@@ -33,8 +35,13 @@ from repro.obs.trace import (
     EVENT_RUN_END,
     EVENT_RUN_START,
 )
-from repro.sim.config import SimulatedSystem, SimulationConfig, check_trace_length
-from repro.sim.fastpath import ScalarEngine
+from repro.sim import fastpath
+from repro.sim.config import (
+    SimulatedSystem,
+    SimulationConfig,
+    check_trace_length,
+    check_warmup_fraction,
+)
 from repro.sim.results import MemoryFootprintResult, PerformanceResult
 from repro.workloads.base import Workload
 
@@ -48,16 +55,13 @@ ABORT_ERRORS = (ContiguousAllocationError, TableFullError, L2POverflowError)
 #: Pages per chunk when iterating a footprint's page set.
 POPULATE_CHUNK_PAGES = 65536
 
-#: Default trace events per streamed chunk (both engines).
-DEFAULT_TRACE_CHUNK = 65536
-
 
 @dataclass
 class LoopOutcome:
-    """What one engine's trace loop produced, independent of engine.
+    """What the single-process driver produced, independent of engine.
 
-    Both the scalar loop and :func:`repro.sim.fastpath.run_vectorized`
-    return this; :meth:`TranslationSimulator.run` assembles the final
+    :func:`repro.sim.fastpath.run_vectorized` returns this under either
+    engine; :meth:`TranslationSimulator.run` assembles the final
     :class:`~repro.sim.results.PerformanceResult` from it plus the
     system's counters, so the two engines share all result accounting.
     """
@@ -146,36 +150,42 @@ def populate_tables(system: SimulatedSystem, progress_every: int = 0) -> None:
 
 
 def memory_result(system: SimulatedSystem, populate: bool = True) -> MemoryFootprintResult:
-    """Populate (optionally) and collect the memory-side measurements."""
-    config = system.config
-    workload = system.workload
-    failed = False
-    reason = ""
-    if populate:
-        try:
-            populate_tables(system)
-        except ABORT_ERRORS as exc:
-            failed = True
-            reason = record_abort(system, exc, "populate")
-    tables = system.page_tables
-    totals = system.address_space.totals
-    result = MemoryFootprintResult(
-        workload=workload.spec.name,
-        organization=config.organization,
-        thp=config.thp_enabled,
-        max_contiguous_bytes=tables.max_contiguous_bytes(),
-        pages_mapped_4k=totals.pages_mapped_4k,
-        pages_mapped_2m=totals.pages_mapped_2m,
-        failed=failed,
-        failure_reason=reason,
-        degradation_counts=dict(system.degradation.counts()),
-        recovery_cycles=system.degradation.recovery_cycles,
-        **system.org.memory_fields(tables, totals.pt_alloc_cycles, config.scale),
-    )
-    if system.obs is not None:
-        result.metrics = system.obs.snapshot_metrics()
-        system.obs.close()
-    return result
+    """Populate (optionally) and collect the memory-side measurements.
+
+    The trace sink is closed however the call ends.
+    """
+    try:
+        config = system.config
+        workload = system.workload
+        failed = False
+        reason = ""
+        if populate:
+            try:
+                populate_tables(system)
+            except ABORT_ERRORS as exc:
+                failed = True
+                reason = record_abort(system, exc, "populate")
+        tables = system.page_tables
+        totals = system.address_space.totals
+        result = MemoryFootprintResult(
+            workload=workload.spec.name,
+            organization=config.organization,
+            thp=config.thp_enabled,
+            max_contiguous_bytes=tables.max_contiguous_bytes(),
+            pages_mapped_4k=totals.pages_mapped_4k,
+            pages_mapped_2m=totals.pages_mapped_2m,
+            failed=failed,
+            failure_reason=reason,
+            degradation_counts=dict(system.degradation.counts()),
+            recovery_cycles=system.degradation.recovery_cycles,
+            **system.org.memory_fields(tables, totals.pt_alloc_cycles, config.scale),
+        )
+        if system.obs is not None:
+            result.metrics = system.obs.snapshot_metrics()
+        return result
+    finally:
+        if system.obs is not None:
+            system.obs.close()
 
 
 class TranslationSimulator:
@@ -193,12 +203,7 @@ class TranslationSimulator:
             # Trace-driven path: the config names a .vpt file to replay.
             workload = config.load_trace_workload()
         check_trace_length(trace_length)
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ConfigurationError(
-                f"warmup_fraction {warmup_fraction} must be in [0, 1) — the "
-                f"measured window must be non-empty",
-                field="warmup_fraction", value=warmup_fraction,
-            )
+        check_warmup_fraction(warmup_fraction)
         if engine_chunk is not None and engine_chunk < 1:
             raise ConfigurationError(
                 f"engine_chunk {engine_chunk} must be >= 1",
@@ -214,66 +219,21 @@ class TranslationSimulator:
         self.engine_chunk = engine_chunk
         self.system: Optional[SimulatedSystem] = None
 
-    def _scalar_loop(
-        self, system: SimulatedSystem, warmup_events: int
-    ) -> LoopOutcome:
-        """The per-access reference loop (the oracle for equivalence).
-
-        Steps a :class:`~repro.sim.fastpath.ScalarEngine` through the
-        trace and adds the invariant checks, the trace clock, the
-        warmup snapshot and abort recording at exact event indices.
-        Feeds from :meth:`~repro.workloads.base.Workload.trace_chunks`
-        so even scalar runs never materialize the whole trace.
-        """
-        tlb = system.tlb
-        obs = system.obs
-        out = LoopOutcome()
-        engine = ScalarEngine(system)
-        step = engine.step
-        check_every = self.config.invariant_check_every
-        # The sim-cycle clock only stamps trace events; skip the
-        # per-access advance when no trace sink is attached.
-        clock = (
-            obs.advance_clock
-            if obs is not None and obs.tracer is not None
-            else None
-        )
-        events_done = 0
-        i = 0
-        try:
-            for chunk in self.workload.trace_chunks(
-                self.trace_length, self.engine_chunk or DEFAULT_TRACE_CHUNK
-            ):
-                for vpn in chunk.tolist():
-                    step(vpn)
-                    if check_every and i % check_every == 0 and i:
-                        check_system_invariants(system, i)
-                    if clock is not None:
-                        # The sim-cycle clock is the accumulated translation
-                        # cost; events emitted while servicing access i carry
-                        # the clock at the access's start.
-                        clock(int(engine.cycles))
-                    i += 1
-                    events_done = i
-                    if events_done == warmup_events:
-                        out.warm_cycles = engine.cycles
-                        out.warm_l1, out.warm_l2 = tlb.l1_hits, tlb.l2_hits
-                        out.warm_walks, out.warm_faults = tlb.walks, tlb.faults
-                        if obs is not None:
-                            obs.emit(EVENT_MEASURE_START, event=events_done)
-        except ABORT_ERRORS as exc:
-            out.failed = True
-            out.reason = record_abort(system, exc, "trace")
-        out.events_done = events_done
-        out.total_cycles = engine.cycles
-        return out
-
     def run(self) -> PerformanceResult:
-        """Simulate the trace; returns the performance measurements."""
-        config = self.config
-        engine = config.resolve_engine()
-        system = config.build(self.workload)
+        """Simulate the trace; returns the performance measurements.
+
+        The trace sink is closed however the run ends.
+        """
+        system = self.config.build(self.workload)
         self.system = system
+        try:
+            return self._simulate(system)
+        finally:
+            if system.obs is not None:
+                system.obs.close()
+
+    def _simulate(self, system: SimulatedSystem) -> PerformanceResult:
+        config = self.config
         tlb = system.tlb
         aspace = system.address_space
         tables = system.page_tables
@@ -315,15 +275,12 @@ class TranslationSimulator:
             if warmup_events == 0:
                 obs.emit(EVENT_MEASURE_START, event=0)
 
-        if engine == "vectorized":
-            from repro.sim.fastpath import run_vectorized
-
-            loop = run_vectorized(
-                system, self.workload, self.trace_length, warmup_events,
-                chunk_values=self.engine_chunk,
-            )
-        else:
-            loop = self._scalar_loop(system, warmup_events)
+        # Looked up at call time, so a wrapper installed on the module
+        # (a profiler span, a test spy) sees every run.
+        loop = fastpath.run_vectorized(
+            system, self.workload, self.trace_length, warmup_events,
+            chunk_values=self.engine_chunk,
+        )
         events_done = loop.events_done
         total_cycles = loop.total_cycles
         failed = loop.failed
@@ -389,7 +346,6 @@ class TranslationSimulator:
                     translation_cycles
                 )
             metrics = obs.snapshot_metrics()
-            obs.close()
         return PerformanceResult(
             workload=self.workload.spec.name,
             organization=config.organization,

@@ -11,12 +11,14 @@ import dataclasses
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.fuzz import runner
 from repro.fuzz.runner import (
     CLASS_ABORT_CONTIGUOUS,
     CLASS_ABORT_L2P,
     CLASS_ABORT_OTHER,
     CLASS_ABORT_TABLE_FULL,
     CLASS_CYCLE_BLOWUP,
+    CLASS_DIVERGENCE,
     CLASS_NON_GRACEFUL,
     CLASS_OK,
     CLASS_SEVERITY,
@@ -111,7 +113,17 @@ class TestPlantedFaultExecution:
         assert snapshot["fuzz.scenarios_run"]["value"] == 1
         assert snapshot["fuzz.failures_found"]["value"] == 1
 
-    def test_divergence_check_runs_both_engines(self, outcome, tmp_path):
+    def test_divergence_check_runs_both_engines(
+        self, outcome, tmp_path, monkeypatch
+    ):
+        engines = []
+        real = runner._run_engine
+
+        def spy(*args):
+            engines.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(runner, "_run_engine", spy)
         scenario = make_preset("planted-fault", seed=0)
         checked = run_scenario(
             scenario, trace_path=outcome.trace_path, orgs=("ecpt",),
@@ -121,6 +133,30 @@ class TestPlantedFaultExecution:
         assert org.divergence_checked
         # Engines agree, so the class stays the graceful abort.
         assert org.failure_class == CLASS_ABORT_CONTIGUOUS
+        # Each engine runs exactly once: the check compares the scalar
+        # run against the primary (vectorized) one.
+        assert sorted(engines) == ["scalar", "vectorized"]
+
+    def test_engine_disagreement_classified_divergence(
+        self, outcome, monkeypatch
+    ):
+        real = runner._run_engine
+
+        def skewed(*args):
+            result = real(*args)
+            if args[-1] == "scalar":
+                result = dataclasses.replace(result, walks=result.walks + 1)
+            return result
+
+        monkeypatch.setattr(runner, "_run_engine", skewed)
+        scenario = make_preset("planted-fault", seed=0)
+        checked = run_scenario(
+            scenario, trace_path=outcome.trace_path, orgs=("ecpt",),
+            check_divergence=True,
+        )
+        org = checked.outcomes["ecpt"]
+        assert org.failure_class == CLASS_DIVERGENCE
+        assert "disagree" in org.detail
 
     def test_empty_trace_rejected(self, tmp_path):
         import numpy as np

@@ -528,6 +528,39 @@ class TestDoccheck:
         completed = self._run("coverage", "--min", "100.0")
         assert completed.returncode == 1
 
+    def test_loc_counts_only_code_lines(self, tmp_path):
+        source = tmp_path / "mod.py"
+        source.write_text(
+            '"""Module docstring,\n\nover three lines."""\n'
+            "\n"
+            "# a comment\n"
+            "X = 1  # a trailing comment leaves a code line\n"
+            "\n"
+            "def _helper():\n"
+            '    """Private docstrings are not code either."""\n'
+            "    return \'\'\'a string literal\n"
+            "over two lines\'\'\'\n"
+            "\n"
+            "class Thing:\n"
+            '    """Doc."""\n'
+            "\n"
+            "    def method(self):\n"
+            "        def inner():\n"
+            '            """Nested."""\n'
+            "\n"
+            "        return inner\n"
+        )
+        completed = self._run("loc", str(source), str(tmp_path))
+        assert completed.returncode == 0, completed.stderr
+        # X, def _helper, both string lines, class, def method, def
+        # inner, return inner.
+        assert completed.stdout.split() == [
+            "8", str(source), "8", str(tmp_path), "16", "total",
+        ]
+
+    def test_loc_needs_a_path(self):
+        assert self._run("loc").returncode == 2
+
     def test_doc_drift_detected(self, tmp_path):
         import importlib.util
 

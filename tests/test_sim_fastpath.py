@@ -7,6 +7,7 @@ equality, every field — and identical final TLB contents, aborted runs
 included.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,13 +15,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
+from repro.ecpt import cwt
+from repro.hashing import storage
 from repro.obs import ObservabilityConfig
+from repro.obs.trace import read_jsonl
+from repro.radix.table import RadixPageTable
+from repro.sim import simulator
 from repro.sim.config import ENGINES, SimulationConfig
-from repro.sim.simulator import TranslationSimulator
+from repro.sim.simulator import TranslationSimulator, memory_result
 from repro.traces.format import TraceMeta, TraceReader, TraceWriter
 from repro.traces.workload import TraceWorkload
 from repro.workloads import get_workload
+from tests.test_mmu_walk_batch import observed
 
 pytestmark = pytest.mark.fastpath
 
@@ -98,9 +105,9 @@ class TestEngineEquivalence:
     def test_invariant_cadence_below_chunk_size(self):
         # Satellite of PR 7: several checkpoints per chunk, with demand
         # faults landing between them (warmup-free GUPS faults heavily
-        # early on).  The vectorized engine catches checks up lazily —
-        # before each miss and at chunk end — which must not change any
-        # result of a completed run.
+        # early on).  The driver cuts each chunk after every access a
+        # check follows, which must not change any result of a
+        # completed run.
         for every in (3, 64, 100):
             scalar, _ = run_engine(
                 "scalar", n=3_000, chunk=512, invariant_check_every=every,
@@ -114,8 +121,8 @@ class TestEngineEquivalence:
 class TestAbortWarmupBoundary:
     """Satellite of PR 7: the abort path's warmup-snapshot condition.
 
-    The clean path closes the warmup window when ``boundary < base + n``;
-    the abort path uses ``boundary < base + aborted_at`` because the
+    The driver cuts the chunk after the last warmup access and closes
+    the warmup window only if that piece completes, because the
     aborting access never completes (``events_done`` excludes it).  Pin
     scalar/vectorized equivalence with the boundary placed exactly at,
     just before, and just after the aborting access.
@@ -172,6 +179,105 @@ class TestAbortWarmupBoundary:
         )
         assert scalar.failed and vector.failed
         assert scalar == vector
+
+
+def plant_check_failure(monkeypatch, fail_at):
+    """Make the ``fail_at``-th invariant check raise ``SimulationError``."""
+    calls = itertools.count(1)
+    real = simulator.check_system_invariants
+
+    def check(system, progress):
+        if next(calls) == fail_at:
+            raise SimulationError("planted invariant failure", progress=progress)
+        real(system, progress)
+
+    monkeypatch.setattr(simulator, "check_system_invariants", check)
+
+
+def left_state(system):
+    """The walker-side state a run leaves behind, plus TLB counters."""
+    tlb = system.tlb
+    tlbs = [t for group in (tlb.l1, tlb.l2) for t in group.values()]
+    counters = [(t.hits, t.misses) for t in tlbs] + [
+        tlb.translations, tlb.l1_hits, tlb.l2_hits, tlb.walks, tlb.faults,
+    ]
+    return observed(system), counters
+
+
+class TestCheckFailureState:
+    """A failing invariant check stops both engines at the same access.
+
+    The driver runs each check between pieces, so the exception, the
+    trace written so far and every TLB, cache and walk-cache state the
+    run leaves behind are engine-independent.
+    """
+
+    @staticmethod
+    def run_failing(monkeypatch, path, engine, org, every, fail_at):
+        # Synthetic line addresses come from process-wide counters;
+        # restart them so both builds place their tables at the same
+        # addresses and cache contents compare across runs.
+        monkeypatch.setattr(storage, "_STORAGE_IDS", itertools.count(1))
+        monkeypatch.setattr(cwt, "_cwt_bases", itertools.count(1))
+        monkeypatch.setattr(RadixPageTable, "_node_ids", itertools.count(1))
+        plant_check_failure(monkeypatch, fail_at)
+        config = SimulationConfig(
+            organization=org, scale=SCALE, seed=3, engine=engine,
+            invariant_check_every=every,
+            obs=ObservabilityConfig(trace_path=str(path)),
+        )
+        sim = TranslationSimulator(
+            get_workload("GUPS", scale=SCALE, seed=3), config,
+            trace_length=4_000, engine_chunk=512,
+        )
+        with pytest.raises(SimulationError) as info:
+            sim.run()
+        return info.value, sim.system
+
+    @pytest.mark.parametrize("every, fail_at", [(3, 40), (100, 7), (777, 2)])
+    @pytest.mark.parametrize("org", ["radix", "ecpt", "mehpt"])
+    def test_failed_check_leaves_same_state(
+        self, monkeypatch, tmp_path, org, every, fail_at
+    ):
+        left = {}
+        for engine in ("scalar", "vectorized"):
+            path = tmp_path / f"{engine}.jsonl"
+            exc, system = self.run_failing(
+                monkeypatch, path, engine, org, every, fail_at
+            )
+            system.obs.close()
+            left[engine] = (exc.context["progress"], path.read_bytes(),
+                            left_state(system))
+        s_progress, s_trace, s_state = left["scalar"]
+        v_progress, v_trace, v_state = left["vectorized"]
+        assert s_progress == v_progress == every * fail_at
+        assert s_trace == v_trace
+        assert s_state == v_state
+
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    def test_trace_sink_closed_when_run_raises(
+        self, monkeypatch, tmp_path, engine
+    ):
+        path = tmp_path / "t.jsonl"
+        _, system = self.run_failing(monkeypatch, path, engine, "mehpt", 100, 7)
+        sink = system.obs.tracer.sink
+        assert sink.events_written > 0
+        assert len(read_jsonl(str(path))) == sink.events_written
+
+    def test_trace_sink_closed_when_populate_raises(self, monkeypatch, tmp_path):
+        path = tmp_path / "p.jsonl"
+        plant_check_failure(monkeypatch, 3)
+        config = SimulationConfig(
+            organization="mehpt", scale=SCALE, seed=3,
+            invariant_check_every=100,
+            obs=ObservabilityConfig(trace_path=str(path)),
+        )
+        system = config.build(get_workload("GUPS", scale=SCALE, seed=3))
+        with pytest.raises(SimulationError):
+            memory_result(system)
+        sink = system.obs.tracer.sink
+        assert sink.events_written > 0
+        assert len(read_jsonl(str(path))) == sink.events_written
 
 
 class TestEngineSelection:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gates for CI — stdlib only, no third-party tools.
 
-Three checks (run all with ``all``):
+Three checks (run all with ``all``) and one report:
 
 ``coverage``
     AST-based public docstring coverage over ``src/repro``: every module,
@@ -23,12 +23,18 @@ Three checks (run all with ``all``):
     in the "Event stream" table must exist in
     ``repro.serve.protocol.EVENT_TYPES`` and vice versa.
 
+``loc``
+    Code lines — no docstring, comment or blank line — per given file or
+    directory tree and in total: the size measure ROADMAP.md and
+    CHANGES.md quote.  It reports and never fails.
+
 Usage::
 
     python tools/doccheck.py coverage --min 90.0 [--verbose]
     python tools/doccheck.py obs-docs
     python tools/doccheck.py serving-docs
     python tools/doccheck.py all --min 90.0
+    python tools/doccheck.py loc src/repro/sim src/repro/kernel
 """
 
 from __future__ import annotations
@@ -121,6 +127,46 @@ def cmd_coverage(minimum: float, verbose: bool) -> int:
     if pct < minimum:
         print(f"FAIL: coverage {pct:.1f}% is below the {minimum:.1f}% floor")
         return 1
+    return 0
+
+
+# -- code line counts ------------------------------------------------------
+
+
+def file_code_lines(path: str) -> int:
+    """Lines of ``path`` holding code, not docstring, comment or blank.
+
+    A docstring is what ``ast.get_docstring`` finds, as in the coverage
+    walk, but on every module, class and function, private and nested
+    ones included.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    docstring_lines: Set[int] = set()
+    for node in ast.walk(ast.parse(source, filename=path)):
+        if isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        ) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            docstring_lines.update(range(doc.lineno, doc.end_lineno + 1))
+    count = 0
+    for number, line in enumerate(source.splitlines(), 1):
+        text = line.strip()
+        if text and not text.startswith("#") and number not in docstring_lines:
+            count += 1
+    return count
+
+
+def cmd_loc(paths: List[str]) -> int:
+    """Print the code lines of each path (file or tree) and their total."""
+    total = 0
+    for path in paths:
+        files = [path] if os.path.isfile(path) else iter_py_files(path)
+        count = sum(file_code_lines(name) for name in files)
+        total += count
+        print(f"{count:7d}  {path}")
+    print(f"{total:7d}  total")
     return 0
 
 
@@ -217,7 +263,10 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "check", choices=["coverage", "obs-docs", "serving-docs", "all"]
+        "check", choices=["coverage", "obs-docs", "serving-docs", "all", "loc"]
+    )
+    parser.add_argument(
+        "paths", nargs="*", help="files or directories for loc to count"
     )
     parser.add_argument(
         "--min",
@@ -229,6 +278,10 @@ def main(argv=None) -> int:
         "--verbose", action="store_true", help="list undocumented slots"
     )
     args = parser.parse_args(argv)
+    if args.check == "loc":
+        if not args.paths:
+            parser.error("loc needs at least one PATH")
+        return cmd_loc(args.paths)
     status = 0
     if args.check in ("coverage", "all"):
         status |= cmd_coverage(args.min, args.verbose)
