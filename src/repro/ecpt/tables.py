@@ -69,15 +69,35 @@ class HashedPageTableSet:
     def map(self, vpn: int, ppn: int, page_size: str = "4K") -> MapResult:
         """Insert a translation; updates CWTs and memory accounting."""
         result = self.tables[page_size].map(vpn, ppn)
-        if page_size in ("4K", "2M"):
-            if self.pmd_cwt.add(vpn, page_size):
-                self._invalidate_cwcs(self.pmd_cwt, vpn)
-        if self.pud_cwt.add(vpn, page_size):
-            self._invalidate_cwcs(self.pud_cwt, vpn)
+        self._count_in_cwts(vpn, page_size)
         if result.new_block:
             # Table bytes change only inside a cuckoo insert or delete.
             self._track_peak()
         return result
+
+    def fill(self, vpn: int, ppn: int) -> bool:
+        """Map the 4KB page ``vpn`` into its existing HPT line, if any.
+
+        The MAP_POPULATE shortcut
+        (:meth:`~repro.kernel.address_space.AddressSpace.fault_in`):
+        equivalent to a :meth:`translate` that returns None followed by a
+        ``map(vpn, ppn, "4K")`` that inserts no line, and counts the same
+        lookups (one on each of the 1GB and 2MB tables, two on the 4KB
+        one) and CWT entries.  Returns False, changing nothing and
+        counting nothing, when the 4KB line is absent, the page is
+        mapped, or a 2MB or 1GB page covers it.
+        """
+        tables = self.tables
+        if (
+            tables["1G"].covers(vpn)
+            or tables["2M"].covers(vpn)
+            or not tables["4K"].fill(vpn, ppn)
+        ):
+            return False
+        tables["1G"].table.stats.lookups += 1
+        tables["2M"].table.stats.lookups += 1
+        self._count_in_cwts(vpn, "4K")
+        return True
 
     def unmap(self, vpn: int, page_size: str = "4K") -> bool:
         """Remove a translation; updates CWTs."""
@@ -165,6 +185,14 @@ class HashedPageTableSet:
         total = self.total_bytes()
         if total > self.peak_total_bytes:
             self.peak_total_bytes = total
+
+    def _count_in_cwts(self, vpn: int, page_size: str) -> None:
+        """Record a new ``page_size`` mapping at ``vpn`` in the CWTs."""
+        if page_size in ("4K", "2M"):
+            if self.pmd_cwt.add(vpn, page_size):
+                self._invalidate_cwcs(self.pmd_cwt, vpn)
+        if self.pud_cwt.add(vpn, page_size):
+            self._invalidate_cwcs(self.pud_cwt, vpn)
 
     def _invalidate_cwcs(self, cwt, vpn: int) -> None:
         for cwc in self.cwc_listeners:

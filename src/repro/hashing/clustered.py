@@ -55,20 +55,17 @@ class ClusteredHashedPageTable:
         self.page_size = page_size
         self.table = table
         self.mapped_pages = 0
-        self.peak_bytes = table.total_bytes()
+        self._shift = PAGE_SHIFT[page_size]
 
     # -- address math ------------------------------------------------------
 
-    def _page_number(self, vpn: int) -> int:
-        return vpn >> PAGE_SHIFT[self.page_size]
-
     def _split(self, vpn: int):
-        page = self._page_number(vpn)
+        page = vpn >> self._shift
         return page >> _BLOCK_SHIFT, page & _BLOCK_MASK
 
     def aligned(self, vpn: int) -> bool:
         """Whether ``vpn`` is aligned to this table's page size."""
-        return vpn & ((1 << PAGE_SHIFT[self.page_size]) - 1) == 0
+        return vpn & ((1 << self._shift) - 1) == 0
 
     # -- mapping ------------------------------------------------------------
 
@@ -81,16 +78,37 @@ class ClusteredHashedPageTable:
         block, sub = self._split(vpn)
         entries = self.table.lookup(block)
         if entries is not None:
-            if entries[sub] is None:
-                self.mapped_pages += 1
-            entries[sub] = ppn
+            self._set_entry(entries, sub, ppn)
             return MapResult(new_block=False, kicks=0)
         entries = [None] * PAGES_PER_BLOCK
         entries[sub] = ppn
         kicks = self.table.insert(block, entries)
         self.mapped_pages += 1
-        self._track_peak()
         return MapResult(new_block=True, kicks=kicks)
+
+    def fill(self, vpn: int, ppn: int) -> bool:
+        """Map ``vpn`` into its existing HPT line; False if there is none.
+
+        Equivalent to a :meth:`translate` that returns None followed by a
+        :meth:`map` that inserts nothing, and counts the two lookups
+        those make.  Returns False, changing nothing and counting no
+        lookup, when the line is absent or already maps the page.
+        ``vpn`` must be aligned for this table's page size.
+        """
+        page = vpn >> self._shift
+        entries = self.table.peek(page >> _BLOCK_SHIFT)
+        sub = page & _BLOCK_MASK
+        if entries is None or entries[sub] is not None:
+            return False
+        self.table.stats.lookups += 2
+        self._set_entry(entries, sub, ppn)
+        return True
+
+    def _set_entry(self, entries: list, sub: int, ppn: int) -> None:
+        """Write one PTE into an existing line (no cuckoo insert)."""
+        if entries[sub] is None:
+            self.mapped_pages += 1
+        entries[sub] = ppn
 
     def unmap(self, vpn: int) -> bool:
         """Remove the mapping for the page containing ``vpn``."""
@@ -113,6 +131,12 @@ class ClusteredHashedPageTable:
         if entries is None:
             return None
         return entries[sub]
+
+    def covers(self, vpn: int) -> bool:
+        """Whether a page of this table maps ``vpn``, counting no lookup."""
+        page = vpn >> self._shift
+        entries = self.table.peek(page >> _BLOCK_SHIFT)
+        return entries is not None and entries[page & _BLOCK_MASK] is not None
 
     def probe_line_addrs(self, vpn: int) -> List[int]:
         """Cache-line addresses a hardware lookup probes: one per way.
@@ -147,11 +171,6 @@ class ClusteredHashedPageTable:
 
     def total_bytes(self) -> int:
         return self.table.total_bytes()
-
-    def _track_peak(self) -> None:
-        total = self.table.total_bytes()
-        if total > self.peak_bytes:
-            self.peak_bytes = total
 
     def occupancy(self) -> float:
         return self.table.occupancy()

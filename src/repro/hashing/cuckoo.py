@@ -307,6 +307,10 @@ class ElasticCuckooTable:
         self.stats.lookups += 1
         return self._index.get(key)
 
+    def peek(self, key: int) -> Optional[Any]:
+        """:meth:`lookup` without counting it in ``stats.lookups``."""
+        return self._index.get(key)
+
     def __contains__(self, key: int) -> bool:
         return self.lookup(key) is not None
 

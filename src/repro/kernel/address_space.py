@@ -15,10 +15,10 @@ The fault handler is where the page-table organizations differ in *cost*:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, MEHPTError
-from repro.kernel.thp import PAGES_PER_2M, ThpPolicy
+from repro.kernel.thp import PAGES_PER_2M, REGION_SHIFT, ThpPolicy
 from repro.mem.alloc_cost import AllocationCostModel
 from repro.obs.trace import EVENT_FAULT_SERVICED
 
@@ -92,14 +92,21 @@ class AddressSpace:
     ``page_tables`` is duck-typed: radix
     (:class:`~repro.radix.table.RadixPageTable`) and hashed
     (:class:`~repro.ecpt.tables.HashedPageTableSet`) organizations both
-    provide ``map``/``translate``.  :meth:`handle_fault` bills the
-    page-table allocation a fault causes in one of two ways.  When the
-    tables have an ``allocation_cycles()`` method (the hashed tables'
-    cumulative allocator total), the fault is charged that total's
-    growth across ``map``.  When ``map`` returns a positive node count
-    (radix), each new node is charged as one 4KB allocation from the
-    cost model at the configured FMFI (capped at the model's
+    provide ``map``/``translate``/``fill``.  :meth:`handle_fault` bills
+    the page-table allocation a fault causes in one of two ways.  When
+    the tables have an ``allocation_cycles()`` method (the hashed
+    tables' cumulative allocator total), the fault is charged that
+    total's growth across ``map``.  When ``map`` returns a positive node
+    count (radix), each new node is charged as one 4KB allocation from
+    the cost model at the configured FMFI (capped at the model's
     ``fail_fmfi``).
+
+    :meth:`fault_in` is the MAP_POPULATE loop behind
+    :func:`~repro.sim.simulator.populate_tables` and :meth:`populate`.
+    Beside :meth:`handle_fault` it has a fill path: a 4KB page whose HPT
+    line or radix PTE node already exists is written by the tables'
+    ``fill`` and billed as :meth:`handle_fault` would bill it, without
+    the per-page fault path.
     """
 
     def __init__(
@@ -166,25 +173,13 @@ class AddressSpace:
         Raises :class:`SegmentationFault` outside every VMA.  Returns the
         cycle cost breakdown; the caller adds it to the faulting access.
         """
-        if self.vma_for(vpn) is None:
+        vma = self.vma_for(vpn)
+        if vma is None:
             raise SegmentationFault(f"access to unmapped vpn {vpn:#x}")
-        page_size = self.thp.page_size_for(vpn)
-        if page_size == "2M":
-            # Clip huge mappings to the VMA: fall back to 4KB if the 2MB
-            # region pokes outside it (as Linux does).
-            base = self.thp.region_base(vpn)
-            vma = self.vma_for(vpn)
-            if not (vma.covers(base) and vma.covers(base + PAGES_PER_2M - 1)):
-                page_size = "4K"
+        page_size = self._page_size(vpn, vma)
         map_vpn = self.thp.region_base(vpn) if page_size == "2M" else vpn
         frame = self._alloc_frames(page_size)
-
-        data_cycles = 0.0
-        if self.charge_data_alloc:
-            nbytes = (PAGES_PER_2M if page_size == "2M" else 1) * 4096
-            data_cycles = self.cost_model.cycles(
-                nbytes, min(self.fmfi, self.cost_model.fail_fmfi)
-            )
+        data_cycles = self._data_alloc_cycles(page_size)
 
         pt_cycles_before = self._pt_alloc_cycles()
         result = self.page_tables.map(map_vpn, frame, page_size)
@@ -195,30 +190,91 @@ class AddressSpace:
                 4096, min(self.fmfi, self.cost_model.fail_fmfi)
             )
         kicks = getattr(result, "kicks", 0) or 0
-        reinsert = kicks * self.reinsert_cycles
+        fault = self._bill(page_size, data_cycles, pt_cycles, kicks)
+        self._account(vpn, fault)
+        return fault
 
-        total = self.fault_overhead_cycles + data_cycles + pt_cycles + reinsert
-        fault = FaultResult(
+    def fault_in(self, vpns: Iterable[int]) -> None:
+        """Fault in every unmapped page of ``vpns``, in order (MAP_POPULATE).
+
+        A page whose fault would map 4KB (it lies in a VMA, and THP's
+        choice clipped to that VMA is 4KB) first goes to the tables'
+        ``fill``, which writes it into an HPT line or radix PTE node an
+        earlier page created.  A filled page takes the next frame and is
+        charged, totalled and traced exactly as :meth:`handle_fault`
+        would charge it: overhead plus data allocation, no table
+        allocation, no kicks.  Every other page -- the first of each
+        line or node, 2MB pages, anything ``fill`` declines -- takes
+        ``translate`` and, if unmapped, :meth:`handle_fault`, so inserts,
+        resizes, allocations and aborts keep their one code path.
+        """
+        fill = self.page_tables.fill
+        translate = self.page_tables.translate
+        # What handle_fault bills a 4KB map that allocates no table
+        # memory: the allocator totals do not move, so 0.0 table cycles.
+        filled = self._bill("4K", self._data_alloc_cycles("4K"), 0.0, 0)
+        vma = None
+        region = -1
+        small = False
+        for vpn in vpns:
+            # A fault's page size is fixed per 2MB region and VMA.
+            if vpn >> REGION_SHIFT != region or vma is None or not vma.covers(vpn):
+                region = vpn >> REGION_SHIFT
+                vma = self.vma_for(vpn)
+                small = vma is not None and self._page_size(vpn, vma) == "4K"
+            if small and fill(vpn, self._next_frame):
+                self._next_frame += 1  # the frame _alloc_frames("4K") hands out
+                self._account(vpn, filled)
+            elif translate(vpn) is None:
+                self.handle_fault(vpn)
+
+    def _page_size(self, vpn: int, vma: Vma) -> str:
+        """The page size a fault at ``vpn`` inside ``vma`` maps."""
+        if self.thp.page_size_for(vpn) == "2M":
+            # Clip huge mappings to the VMA: fall back to 4KB if the 2MB
+            # region pokes outside it (as Linux does).
+            base = self.thp.region_base(vpn)
+            if vma.covers(base) and vma.covers(base + PAGES_PER_2M - 1):
+                return "2M"
+        return "4K"
+
+    def _data_alloc_cycles(self, page_size: str) -> float:
+        if not self.charge_data_alloc:
+            return 0.0
+        nbytes = (PAGES_PER_2M if page_size == "2M" else 1) * 4096
+        return self.cost_model.cycles(
+            nbytes, min(self.fmfi, self.cost_model.fail_fmfi)
+        )
+
+    def _bill(
+        self, page_size: str, data_cycles: float, pt_cycles: float, kicks: int
+    ) -> FaultResult:
+        """The cost breakdown of one serviced fault."""
+        reinsert = kicks * self.reinsert_cycles
+        return FaultResult(
             page_size=page_size,
-            cycles=total,
+            cycles=self.fault_overhead_cycles + data_cycles + pt_cycles + reinsert,
             data_alloc_cycles=data_cycles,
             pt_alloc_cycles=pt_cycles,
             reinsert_cycles=reinsert,
             kicks=kicks,
         )
+
+    def _account(self, vpn: int, fault: FaultResult) -> None:
+        """Total and trace one serviced fault."""
         self.totals.absorb(fault)
-        if page_size == "2M":
+        if fault.page_size == "2M":
             self.totals.pages_mapped_2m += 1
         else:
             self.totals.pages_mapped_4k += 1
         if self.obs is not None:
             self.obs.emit(
                 EVENT_FAULT_SERVICED,
-                vpn=vpn, page_size=page_size, cycles=total,
-                pt_alloc_cycles=pt_cycles, reinsert_cycles=reinsert,
-                data_alloc_cycles=data_cycles, kicks=kicks,
+                vpn=vpn, page_size=fault.page_size, cycles=fault.cycles,
+                pt_alloc_cycles=fault.pt_alloc_cycles,
+                reinsert_cycles=fault.reinsert_cycles,
+                data_alloc_cycles=fault.data_alloc_cycles, kicks=fault.kicks,
             )
-        return fault
 
     def _pt_alloc_cycles(self) -> float:
         cycles_fn = getattr(self.page_tables, "allocation_cycles", None)
@@ -236,14 +292,4 @@ class AddressSpace:
 
     def populate(self, vma: Vma) -> None:
         """Pre-fault every page of ``vma`` (like MAP_POPULATE)."""
-        vpn = vma.start_vpn
-        while vpn < vma.end_vpn:
-            if self.page_tables.translate(vpn) is None:
-                fault = self.handle_fault(vpn)
-                vpn = (
-                    self.thp.region_base(vpn) + PAGES_PER_2M
-                    if fault.page_size == "2M"
-                    else vpn + 1
-                )
-            else:
-                vpn += 1
+        self.fault_in(range(vma.start_vpn, vma.end_vpn))

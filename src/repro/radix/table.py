@@ -134,6 +134,28 @@ class RadixPageTable:
         self.node_count += created
         return created
 
+    def fill(self, vpn: int, ppn: int) -> bool:
+        """Map the 4KB page ``vpn`` into its existing PTE node, if any.
+
+        The MAP_POPULATE shortcut
+        (:meth:`~repro.kernel.address_space.AddressSpace.fault_in`):
+        equivalent to a :meth:`translate` that returns None followed by a
+        ``map(vpn, ppn, "4K")`` that allocates no node.  Returns False,
+        changing nothing, when the PTE node is absent, the page is
+        mapped, or a 2MB or 1GB page covers it.
+        """
+        node = self.root
+        for shift in range((self.levels - 1) * LEVEL_BITS, 0, -LEVEL_BITS):
+            node = node.entries.get((vpn >> shift) & (FANOUT - 1))
+            if not isinstance(node, _Node):
+                return False
+        leaf_index = vpn & (FANOUT - 1)
+        if leaf_index in node.entries:
+            return False
+        self.mapped_pages["4K"] += 1
+        node.entries[leaf_index] = _Leaf(ppn, "4K")
+        return True
+
     def unmap(self, vpn: int, page_size: str = "4K") -> bool:
         """Remove a mapping; empty intermediate nodes are retained (as the
         Linux kernel does until teardown).  Returns presence."""

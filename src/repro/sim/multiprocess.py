@@ -93,33 +93,41 @@ class MultiProcessSimulator:
             self.drivers.append(QuantumEngine(process, system))
 
     def run(self) -> MultiProcessResult:
-        """Run every process to completion; return aggregate costs."""
+        """Run every process to completion; return aggregate costs.
+
+        However the run ends, every driver is finalized, so an abort
+        leaves each process's real TLB lists as the scalar engine would.
+        """
         total_cycles = 0.0
         switch_cycles = 0.0
         l2p_cycles = 0.0
         l2p_samples: List[int] = []
         current: Optional[Process] = None
         runnable = [d for d in self.drivers if not d.process.finished]
-        while runnable:
-            for driver in runnable:
-                process = driver.process
-                if current is not process:
-                    base = self.switch_model.base_cycles
-                    cost = self.switch_model.switch_cost(
-                        current.l2p if current is not None else None,
-                        process.l2p,
-                    )
-                    switch_cycles += cost
-                    l2p_cycles += cost - base
-                    current = process
-                total_cycles += driver.run_quantum(self.quantum)
-                # Sample after the quantum: the entries the process has
-                # actually populated are what the next switch must save.
-                # (Sampling before the first quantum reads a cold L2P
-                # and biases the mean low.)
-                if process.l2p is not None:
-                    l2p_samples.append(process.l2p.entries_used())
-            runnable = [d for d in self.drivers if not d.process.finished]
+        try:
+            while runnable:
+                for driver in runnable:
+                    process = driver.process
+                    if current is not process:
+                        base = self.switch_model.base_cycles
+                        cost = self.switch_model.switch_cost(
+                            current.l2p if current is not None else None,
+                            process.l2p,
+                        )
+                        switch_cycles += cost
+                        l2p_cycles += cost - base
+                        current = process
+                    total_cycles += driver.run_quantum(self.quantum)
+                    # Sample after the quantum: the entries the process
+                    # has actually populated are what the next switch
+                    # must save.  (Sampling before the first quantum
+                    # reads a cold L2P and biases the mean low.)
+                    if process.l2p is not None:
+                        l2p_samples.append(process.l2p.entries_used())
+                runnable = [d for d in self.drivers if not d.process.finished]
+        finally:
+            for driver in self.drivers:
+                driver.finalize()
         total_cycles += switch_cycles
         return MultiProcessResult(
             organization=self.config.organization,

@@ -30,8 +30,8 @@ Bit-identity contract (the batched engine against the scalar one):
   Under either engine the exception propagates with the process
   cursor, cycles and access count untouched.
 * TLB mirrors are written back into the real TLB lists when the process
-  finishes (or is torn down mid-run, or a datacenter run fails), so
-  final TLB contents equal the scalar engine's.
+  finishes (or is torn down mid-run, or a datacenter or multi-process
+  run fails), so final TLB contents equal the scalar engine's.
 
 The datacenter simulator shares one
 :class:`~repro.mmu.walk_batch.NumaCacheBatch` across every tenant's
@@ -94,8 +94,8 @@ class QuantumEngine:
         """Write the engine back once; later calls are no-ops.
 
         Called when the process finishes, is torn down mid-run or its
-        datacenter run fails, so the real TLB lists hold exactly what
-        the scalar engine leaves behind.
+        datacenter or multi-process run fails, so the real TLB lists
+        hold exactly what the scalar engine leaves behind.
         """
         if not self._finalized:
             self._finalized = True

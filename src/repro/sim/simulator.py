@@ -4,9 +4,13 @@ Two entry points:
 
 * :func:`populate_tables` — demand-fault a workload's entire page set
   into a built system.  This is all the memory experiments need (Table I,
-  Figures 8 and 10-14): the page-table sizes, contiguity, resizes, L2P
+  Figures 8 and 10-15): the page-table sizes, contiguity, resizes, L2P
   usage and cuckoo statistics are products of *which pages exist*, not of
-  the access order.
+  the access order.  The pages go through
+  :meth:`~repro.kernel.address_space.AddressSpace.fault_in`, which
+  fills a 4KB page whose HPT line or radix PTE node already exists
+  without the per-page fault path and faults every other page through
+  ``handle_fault``, with the same bill, totals and trace either way.
 
 * :class:`TranslationSimulator` — run an access trace through the TLB
   hierarchy and walker, demand-faulting as pages are first touched, and
@@ -108,33 +112,41 @@ def check_system_invariants(system: SimulatedSystem, progress: int) -> None:
 def populate_tables(system: SimulatedSystem, progress_every: int = 0) -> None:
     """Fault every page of the workload's page set into the page tables.
 
+    The page set goes through
+    :meth:`~repro.kernel.address_space.AddressSpace.fault_in` in pieces
+    cut after every page an invariant check or a progress line follows
+    (page index ``i > 0`` with ``i % invariant_check_every == 0``, or
+    likewise for ``progress_every``), so both run after the same page
+    as a page-at-a-time loop would run them.
+
     Raises :class:`ContiguousAllocationError` if the organization needs a
     contiguous allocation the fragmented machine cannot provide (the
     paper's ECPT failure above 0.7 FMFI).
     """
     aspace = system.address_space
-    tables = system.page_tables
-    translate = tables.translate
-    fault = aspace.handle_fault
     check_every = system.config.invariant_check_every
     page_set = system.workload.page_set()
-    pages = 0
-    i = 0
-    # Chunked iteration: one bulk tolist() per slice hands the loop
-    # native ints without materializing a full-footprint Python list.
-    for start in range(0, len(page_set), POPULATE_CHUNK_PAGES):
-        block = page_set[start : start + POPULATE_CHUNK_PAGES]
-        for vpn in block.tolist() if hasattr(block, "tolist") else map(int, block):
-            if translate(vpn) is None:
-                fault(vpn)
-            if check_every and i % check_every == 0 and i:
-                check_system_invariants(system, i)
-            if progress_every and i % progress_every == 0 and i:
-                # logging, not print: parallel sweep workers would otherwise
-                # interleave progress lines on the shared stdout.
-                logger.info("populated %d pages...", i)
-            i += 1
-            pages = i
+    pages = len(page_set)
+    start = 0
+    while start < pages:
+        # Bounded pieces: one bulk tolist() per piece hands the loop
+        # native ints without materializing a full-footprint Python list.
+        stop = min(start + POPULATE_CHUNK_PAGES, pages)
+        for every in (check_every, progress_every):
+            if every:
+                # The first index >= start that is a positive multiple.
+                due = max(every, -(-start // every) * every)
+                stop = min(stop, due + 1)
+        block = page_set[start:stop]
+        aspace.fault_in(block.tolist() if hasattr(block, "tolist") else map(int, block))
+        last = stop - 1
+        if check_every and last % check_every == 0 and last:
+            check_system_invariants(system, last)
+        if progress_every and last % progress_every == 0 and last:
+            # logging, not print: parallel sweep workers would otherwise
+            # interleave progress lines on the shared stdout.
+            logger.info("populated %d pages...", last)
+        start = stop
     if check_every:
         check_system_invariants(system, -1)
     if progress_every:

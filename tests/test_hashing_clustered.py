@@ -96,12 +96,12 @@ class TestProbeLines:
 class TestAccounting:
     def test_peak_bytes_monotonic(self):
         pt = make_pt(table=make_chunked_table(initial_slots=16))
-        last_peak = pt.peak_bytes
+        last_peak = pt.table.peak_bytes
         for i in range(2000):
             pt.map(0x1000 + i, i)
-            assert pt.peak_bytes >= last_peak
-            last_peak = pt.peak_bytes
-        assert pt.peak_bytes >= pt.total_bytes()
+            assert pt.table.peak_bytes >= last_peak
+            last_peak = pt.table.peak_bytes
+        assert pt.table.peak_bytes >= pt.total_bytes()
 
     def test_occupancy_in_range(self):
         pt = make_pt()

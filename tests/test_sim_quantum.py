@@ -14,7 +14,7 @@ import itertools
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ContiguousAllocationError
 from repro.experiments import engine as engine_mod
 from repro.experiments.runner import (
     ExperimentSettings,
@@ -224,6 +224,32 @@ class TestMultiProcessBitIdentity:
         ):
             for a, b in zip(sims["scalar"]._systems, sims["vectorized"]._systems):
                 assert tlb_state(a) == tlb_state(b)
+
+    def test_abort_leaves_same_tlbs(self):
+        # ECPT at FMFI 0.75 cannot make the large contiguous allocation
+        # a resize needs: one process's quantum raises mid-run, and every
+        # other process must still have its engine written back.
+        sims = {}
+        errors = {}
+        for engine in ("scalar", "vectorized"):
+            config = SimulationConfig(
+                organization="ecpt", scale=512, fmfi=0.75, engine=engine,
+            )
+            sim = MultiProcessSimulator(
+                ["GUPS"] * 3, config, trace_length=30_000, quantum=1_000,
+            )
+            with pytest.raises(Exception) as info:
+                sim.run()
+            sims[engine] = sim
+            errors[engine] = info.type
+        assert errors["scalar"] is errors["vectorized"] is ContiguousAllocationError
+        cursors = [
+            [p.cursor for p in sims[engine].processes] for engine in sims
+        ]
+        assert cursors[0] == cursors[1]
+        assert 0 < min(cursors[0]) and max(cursors[0]) < 30_000
+        for a, b in zip(sims["scalar"]._systems, sims["vectorized"]._systems):
+            assert tlb_state(a) == tlb_state(b)
 
     @pytest.mark.parametrize(
         "obs",
