@@ -2,8 +2,8 @@
 
 Replays the same ``.vpt`` traces through both simulation engines, checks
 the results are bit-identical, and records accesses/sec for each in
-``benchmarks/output/BENCH_hotpath.json`` (mirrored to the repo root as
-``BENCH_hotpath.json``) so the speedup is tracked over time.
+``BENCH_hotpath.json`` at the repo root so the speedup is tracked over
+time.
 
 Two scenarios:
 
@@ -43,7 +43,6 @@ resolution, gated at 5x.
 
 import json
 import os
-import shutil
 import time
 
 import pytest
@@ -68,7 +67,6 @@ DC_QUANTUM = 8000
 DC_TENANTS = 6
 DC_SOCKETS = 2
 
-_OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -103,9 +101,8 @@ def miss_heavy(tmp_path_factory):
 
 
 def _save(section, payload):
-    """Merge one benchmark section into the JSON, mirror to repo root."""
-    os.makedirs(_OUTPUT_DIR, exist_ok=True)
-    out = os.path.join(_OUTPUT_DIR, "BENCH_hotpath.json")
+    """Merge one benchmark section into the repo root's JSON."""
+    out = os.path.join(_REPO_ROOT, "BENCH_hotpath.json")
     merged = {}
     if os.path.exists(out):
         try:
@@ -119,7 +116,6 @@ def _save(section, payload):
     with open(out, "w") as handle:
         json.dump(merged, handle, indent=2)
         handle.write("\n")
-    shutil.copyfile(out, os.path.join(_REPO_ROOT, "BENCH_hotpath.json"))
     print(f"\n{json.dumps(payload, indent=2)}\n[saved to {out}]")
     return out
 

@@ -2,8 +2,9 @@
 
 This package holds the pieces every other subsystem relies on: size and
 cycle units (:mod:`repro.common.units`), the exception hierarchy
-(:mod:`repro.common.errors`), and deterministic random-number helpers
-(:mod:`repro.common.rng`).
+(:mod:`repro.common.errors`), deterministic random-number helpers
+(:mod:`repro.common.rng`), and the result every page-table
+organization's ``map`` returns (:mod:`repro.common.mapping`).
 """
 
 from repro.common.errors import (

@@ -19,10 +19,11 @@ from collections import Counter
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.mapping import MapResult
 from repro.common.rng import DeterministicRng, make_rng
 from repro.faults.log import DegradationLog
 from repro.faults.plan import FaultPlan
-from repro.hashing.clustered import ClusteredHashedPageTable, MapResult
+from repro.hashing.clustered import ClusteredHashedPageTable
 from repro.hashing.cuckoo import ElasticCuckooTable, ElasticWay
 from repro.hashing.hashes import HashFamily
 from repro.hashing.policies import AllWayResizePolicy
@@ -67,12 +68,18 @@ class HashedPageTableSet:
     # -- kernel API -------------------------------------------------------
 
     def map(self, vpn: int, ppn: int, page_size: str = "4K") -> MapResult:
-        """Insert a translation; updates CWTs and memory accounting."""
+        """Insert a translation; updates CWTs and memory accounting.
+
+        The result's ``alloc_cycles`` is the growth of the allocator's
+        cycle total across the map.
+        """
+        before = self.allocation_stats.cycles
         result = self.tables[page_size].map(vpn, ppn)
         self._count_in_cwts(vpn, page_size)
         if result.new_block:
             # Table bytes change only inside a cuckoo insert or delete.
             self._track_peak()
+        result.alloc_cycles = self.allocation_stats.cycles - before
         return result
 
     def fill(self, vpn: int, ppn: int) -> bool:

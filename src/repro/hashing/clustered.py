@@ -15,12 +15,12 @@ cuckoo table underneath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.mapping import MapResult
 from repro.hashing.cuckoo import ElasticCuckooTable
 from repro.hashing.hashes import hash_array
 
@@ -31,14 +31,6 @@ PAGE_SHIFT = {"4K": 0, "2M": 9, "1G": 18}
 PAGES_PER_BLOCK = 8
 _BLOCK_SHIFT = 3
 _BLOCK_MASK = PAGES_PER_BLOCK - 1
-
-
-@dataclass
-class MapResult:
-    """Outcome of mapping one page."""
-
-    new_block: bool  # a new HPT line was inserted (cuckoo insertion)
-    kicks: int       # cuckoo re-insertions the insertion caused
 
 
 class ClusteredHashedPageTable:

@@ -92,14 +92,14 @@ class AddressSpace:
     ``page_tables`` is duck-typed: radix
     (:class:`~repro.radix.table.RadixPageTable`) and hashed
     (:class:`~repro.ecpt.tables.HashedPageTableSet`) organizations both
-    provide ``map``/``translate``/``fill``.  :meth:`handle_fault` bills
-    the page-table allocation a fault causes in one of two ways.  When
-    the tables have an ``allocation_cycles()`` method (the hashed
-    tables' cumulative allocator total), the fault is charged that
-    total's growth across ``map``.  When ``map`` returns a positive node
-    count (radix), each new node is charged as one 4KB allocation from
-    the cost model at the configured FMFI (capped at the model's
-    ``fail_fmfi``).
+    provide ``map``/``translate``/``fill``, and every ``map`` returns a
+    :class:`~repro.common.mapping.MapResult`.  :meth:`handle_fault`
+    bills a fault's page-table allocation from it: the allocator cycles
+    the map spent (hashed tables), plus each radix node it created
+    charged as one 4KB allocation from the kernel's cost model at the
+    configured FMFI (capped at the model's ``fail_fmfi``), because
+    radix nodes bypass the allocator.  Its cuckoo kicks are billed as
+    re-insertion work.
 
     :meth:`fault_in` is the MAP_POPULATE loop behind
     :func:`~repro.sim.simulator.populate_tables` and :meth:`populate`.
@@ -181,16 +181,14 @@ class AddressSpace:
         frame = self._alloc_frames(page_size)
         data_cycles = self._data_alloc_cycles(page_size)
 
-        pt_cycles_before = self._pt_alloc_cycles()
         result = self.page_tables.map(map_vpn, frame, page_size)
-        pt_cycles = self._pt_alloc_cycles() - pt_cycles_before
-        if isinstance(result, int) and result > 0:
-            # Radix organization: ``result`` new 4KB nodes were allocated.
-            pt_cycles += result * self.cost_model.cycles(
+        pt_cycles = result.alloc_cycles
+        if result.nodes:
+            # Each new radix node is one 4KB allocation.
+            pt_cycles += result.nodes * self.cost_model.cycles(
                 4096, min(self.fmfi, self.cost_model.fail_fmfi)
             )
-        kicks = getattr(result, "kicks", 0) or 0
-        fault = self._bill(page_size, data_cycles, pt_cycles, kicks)
+        fault = self._bill(page_size, data_cycles, pt_cycles, result.kicks)
         self._account(vpn, fault)
         return fault
 
@@ -275,10 +273,6 @@ class AddressSpace:
                 reinsert_cycles=fault.reinsert_cycles,
                 data_alloc_cycles=fault.data_alloc_cycles, kicks=fault.kicks,
             )
-
-    def _pt_alloc_cycles(self) -> float:
-        cycles_fn = getattr(self.page_tables, "allocation_cycles", None)
-        return cycles_fn() if cycles_fn is not None else 0.0
 
     # -- convenience -------------------------------------------------------
 

@@ -3,9 +3,10 @@
 Per-process HPTs are the paper's setting (a global HPT cannot support
 sharing/page sizes or cheap teardown — Section II-B), so a process here
 bundles its own page tables, address space, and workload stream, plus
-the process-lifetime operations the multi-process simulator needs.
-:class:`~repro.sim.quantum.QuantumEngine` runs the trace in quanta and
-advances the cursor fields.
+the process-lifetime operations a multi-tenant scheduler needs
+(:class:`~repro.sim.datacenter.DatacenterSimulator` runs each tenant as
+one).  :class:`~repro.sim.quantum.QuantumEngine` runs the trace in
+quanta and advances the cursor fields.
 """
 
 from __future__ import annotations

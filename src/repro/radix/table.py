@@ -23,6 +23,7 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.mapping import MapResult
 from repro.common.units import CACHE_LINE, PAGE_4K, PTE_SIZE
 
 #: Entries per node (512 for 4KB nodes of 8-byte entries).
@@ -97,8 +98,8 @@ class RadixPageTable:
 
     # -- mapping ------------------------------------------------------------
 
-    def map(self, vpn: int, ppn: int, page_size: str = "4K") -> int:
-        """Map ``vpn`` -> ``ppn``; return the number of nodes allocated.
+    def map(self, vpn: int, ppn: int, page_size: str = "4K") -> MapResult:
+        """Map ``vpn`` -> ``ppn``; the result counts the nodes it created.
 
         ``vpn`` must be aligned for the page size.  Remapping an existing
         page replaces its translation.
@@ -132,7 +133,7 @@ class RadixPageTable:
             )
         node.entries[leaf_index] = _Leaf(ppn, page_size)
         self.node_count += created
-        return created
+        return MapResult(nodes=created)
 
     def fill(self, vpn: int, ppn: int) -> bool:
         """Map the 4KB page ``vpn`` into its existing PTE node, if any.

@@ -11,8 +11,11 @@
 * :mod:`repro.sim.fastpath` — the scalar reference engine, the
   vectorized batched engine (bit-identical results, selected via
   ``SimulationConfig.engine``) and the single-process driver for both.
-* :mod:`repro.sim.quantum` — the quantum driver the multi-process and
-  datacenter schedulers run each process's trace through.
+* :mod:`repro.sim.quantum` — the quantum driver the datacenter
+  scheduler runs each tenant's trace through.
+* :mod:`repro.sim.datacenter` — the multi-tenant NUMA machine model and
+  its round-robin scheduler, the one multi-tenant engine; one-socket
+  cells of it state the paper's Section V-C context-switch claim.
 * :mod:`repro.sim.results` — result containers, the differential
   performance model (cycles per access), and speedup computation.
 """

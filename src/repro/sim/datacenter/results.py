@@ -85,6 +85,10 @@ class DatacenterResult:
         """Context-switch share of total cycles."""
         return self.switch_cycles / self.total_cycles if self.total_cycles else 0.0
 
+    def l2p_overhead(self) -> float:
+        """L2P save/restore share of total cycles (Section V-C)."""
+        return self.l2p_switch_cycles / self.total_cycles if self.total_cycles else 0.0
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe dict of every field (dataclass ``asdict``)."""
         return asdict(self)

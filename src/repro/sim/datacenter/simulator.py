@@ -1,7 +1,6 @@
-"""The multi-tenant NUMA datacenter simulator.
+"""The multi-tenant NUMA datacenter simulator: the one scheduler.
 
-Grows :class:`~repro.sim.multiprocess.MultiProcessSimulator` into a
-machine model: N sockets with shared fragmented buddy pools
+A machine model: N sockets with shared fragmented buddy pools
 (:mod:`repro.sim.datacenter.topology`), per-tenant
 ME-HPT/ECPT/radix tables placed in those pools, per-socket round-robin
 scheduling with :class:`~repro.kernel.context.ContextSwitchModel`
@@ -14,6 +13,12 @@ Every page-table cache line a walk touches is charged local or remote
 DRAM latency according to where the owning node/chunk physically lives
 — which is the mechanism that lets the datacenter experiment answer
 "does ME-HPT replicate more cheaply than radix?".
+
+The paper's Section V-C context-switch claim runs on the same loop as
+a one-socket cell: ``DatacenterParams(sockets=1, processes=len(apps),
+policy="none", frag_fraction=0.0)`` with no churn, read through
+:meth:`~repro.sim.datacenter.results.DatacenterResult.l2p_overhead`
+(``examples/multiprocess_study.py``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The quantum driver for multi-tenant and multi-process runs.
+"""The quantum driver for multi-tenant runs.
 
 :class:`QuantumEngine` runs one process's trace a scheduling quantum at
 a time.  It owns the process cursor and holds the engine
@@ -30,15 +30,14 @@ Bit-identity contract (the batched engine against the scalar one):
   Under either engine the exception propagates with the process
   cursor, cycles and access count untouched.
 * TLB mirrors are written back into the real TLB lists when the process
-  finishes (or is torn down mid-run, or a datacenter or multi-process
-  run fails), so final TLB contents equal the scalar engine's.
+  finishes (or is torn down mid-run, or its datacenter run fails), so
+  final TLB contents equal the scalar engine's.
 
 The datacenter simulator shares one
 :class:`~repro.mmu.walk_batch.NumaCacheBatch` across every tenant's
 batcher — tenants share the machine's cache hierarchy, and per-quantum
 flushing keeps the global line stream in exactly the scalar
-interleaving.  The multi-process simulator gives each batched engine
-its own private cache mirror, matching its per-process hierarchies.
+interleaving.
 """
 
 from __future__ import annotations
@@ -94,8 +93,8 @@ class QuantumEngine:
         """Write the engine back once; later calls are no-ops.
 
         Called when the process finishes, is torn down mid-run or its
-        datacenter or multi-process run fails, so the real TLB lists
-        hold exactly what the scalar engine leaves behind.
+        datacenter run fails, so the real TLB lists hold exactly what
+        the scalar engine leaves behind.
         """
         if not self._finalized:
             self._finalized = True

@@ -30,6 +30,17 @@ class TestKernelApi:
         assert tables.translate(0x100) is None
         assert not tables.unmap(0x100)
 
+    def test_map_result_carries_allocator_cycles(self):
+        tables = make_tables()
+        resize_cycles = 0.0
+        for i in range(2_000):
+            before = tables.allocation_cycles()
+            result = tables.map(0x1000 + i * 8, i)
+            assert result.alloc_cycles == tables.allocation_cycles() - before
+            assert result.nodes == 0
+            resize_cycles += result.alloc_cycles
+        assert resize_cycles > 0  # some maps resized a way
+
     def test_cwt_updated_on_map(self):
         tables = make_tables()
         tables.map(0x100, 0xA)

@@ -4,7 +4,6 @@ from repro.core.l2p import L2PTable
 from repro.kernel.context import ContextSwitchModel
 from repro.sim.config import SimulationConfig
 from repro.sim.datacenter import DatacenterParams, DatacenterSimulator
-from repro.sim.multiprocess import MultiProcessSimulator
 
 
 class TestContextSwitchModel:
@@ -49,13 +48,18 @@ class TestSwitchAccountingInSchedulers:
     """The model's counters against the schedulers that drive it."""
 
     def test_multiprocess_charges_save_and_restore(self):
+        # Two processes on a one-socket cell (the Section V-C setting).
         model = ContextSwitchModel(base_cycles=1000, l2p_entry_cycles=4)
         config = SimulationConfig(organization="mehpt", scale=512, seed=7)
-        sim = MultiProcessSimulator(
-            ["GUPS", "GUPS"], config, trace_length=1_200, quantum=400,
-            switch_model=model,
+        params = DatacenterParams(
+            sockets=1, processes=2, policy="none", frag_fraction=0.0,
+            quantum=400,
         )
-        result = sim.run()
+        result = DatacenterSimulator(
+            ["GUPS", "GUPS"], config, params=params, trace_length=1_200,
+            switch_model=model,
+        ).run()
+        assert not result.failed
         assert result.switches == model.switches > 0
         # Every switch between live ME-HPT processes saves the outgoing
         # L2P and restores the incoming one; the per-switch surcharge

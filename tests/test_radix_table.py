@@ -43,6 +43,15 @@ class TestMapping:
         with pytest.raises(ConfigurationError):
             table2.map(0, 2, "2M")  # over existing small pages
 
+    def test_map_result_counts_new_nodes(self):
+        table = RadixPageTable()
+        # A fresh 4-level tree holds only its root: the first 4KB map
+        # creates the PUD, PMD and PTE nodes, a neighbour creates none.
+        first = table.map(7, 1)
+        assert (first.nodes, first.kicks, first.alloc_cycles) == (3, 0, 0.0)
+        assert table.map(8, 2).nodes == 0
+        assert table.node_count == 4
+
     def test_remap_replaces(self):
         table = RadixPageTable()
         table.map(7, 1)

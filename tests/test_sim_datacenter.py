@@ -2,7 +2,8 @@
 
 Covers the topology primitives (line homing, socket pools, NUMA-aware
 DRAM charging), the shootdown/replication cost models, the tenant
-scheduler (churn, rebalance, determinism), the sweep-engine integration
+scheduler (churn, rebalance, determinism), the paper's Section V-C
+context-switch claims on one-socket cells, the sweep-engine integration
 (caching, overrides splitting, result codec) and the experiment CLI.
 """
 
@@ -19,6 +20,7 @@ from repro.experiments.runner import (
     clear_caches,
     datacenter_sweep,
 )
+from repro.kernel.context import ContextSwitchModel
 from repro.mem.alloc_cost import AllocationCostModel
 from repro.mem.cache import CacheLevel
 from repro.sim.config import SimulationConfig
@@ -62,6 +64,24 @@ def tiny_run(organization="mehpt", trace_length=1_200, **param_overrides):
         params=tiny_params(**param_overrides), trace_length=trace_length,
     )
     return sim.run()
+
+
+def one_socket_run(organization="mehpt", apps=("TC", "MUMmer"),
+                   virtualized=False, trace_length=6_000, quantum=1_000):
+    """Run a Section V-C cell: one socket, an unfragmented pool, no
+    placement policy, no churn; returns (simulator, result)."""
+    params = DatacenterParams(
+        sockets=1, processes=len(apps), policy="none", frag_fraction=0.0,
+        quantum=quantum,
+    )
+    sim = DatacenterSimulator(
+        list(apps), SimulationConfig(organization=organization, scale=256),
+        params=params, trace_length=trace_length,
+        switch_model=ContextSwitchModel(virtualized=virtualized),
+    )
+    result = sim.run()
+    assert not result.failed, result.failure_reason
+    return sim, result
 
 
 class TestParams:
@@ -336,6 +356,69 @@ class TestDatacenterSimulator:
         assert result.metrics["numa.replicated_bytes"]["value"] == (
             result.replicated_bytes
         )
+
+
+class TestOneSocketCell:
+    """Round-robin scheduling of several processes on one socket."""
+
+    def test_all_processes_complete(self):
+        sim, result = one_socket_run()
+        assert all(t.process.finished for t in sim.tenants)
+        assert all(t.process.accesses_done == 6_000 for t in sim.tenants)
+        assert result.processes == 2
+
+    def test_switch_count_round_robin(self):
+        _, result = one_socket_run(trace_length=4_000, quantum=1_000)
+        # 2 processes x 4 quanta each = 8 dispatches, all of them switches
+        # under strict round-robin.
+        assert result.switches == 8
+
+    def test_no_apps_rejected(self):
+        with pytest.raises(ConfigurationError):
+            DatacenterSimulator([], tiny_config())
+
+    @pytest.mark.parametrize("trace_length", (0, -5))
+    def test_bad_trace_length_rejected(self, trace_length):
+        # The single-process simulator's one-line error, raised before
+        # any workload is generated.
+        with pytest.raises(
+            ConfigurationError, match=f"^trace_length {trace_length} must be > 0$"
+        ):
+            DatacenterSimulator(
+                ["GUPS", "BFS"], tiny_config(), trace_length=trace_length
+            )
+
+
+class TestSectionVC:
+    """The paper's context-switch cost claims, on one-socket cells."""
+
+    def test_mehpt_pays_l2p_movement(self):
+        _, result = one_socket_run("mehpt")
+        assert result.l2p_switch_cycles > 0
+        assert result.mean_l2p_entries > 0
+
+    def test_radix_pays_none(self):
+        _, result = one_socket_run("radix")
+        assert result.l2p_switch_cycles == 0.0
+
+    def test_l2p_overhead_is_modest(self):
+        """Section V-C: the save/restore overhead is small."""
+        _, result = one_socket_run("mehpt")
+        assert result.l2p_overhead() < 0.02
+        # ...and small relative to the switches themselves.
+        assert result.l2p_switch_cycles < result.switch_cycles / 2
+
+    def test_virtualized_switches_skip_l2p(self):
+        _, result = one_socket_run("mehpt", virtualized=True)
+        assert result.l2p_switch_cycles == 0.0
+
+    def test_teardown_is_table_drop_not_scan(self):
+        sim, _ = one_socket_run("mehpt")
+        # Per-process tables: the entries to reclaim are exactly the
+        # process's own (no global scan over other processes' entries).
+        entries = [t.process.teardown_entries() for t in sim.tenants]
+        assert all(e > 0 for e in entries)
+        assert entries[0] != sum(entries)  # not a shared global table
 
 
 class TestEngineIntegration:
