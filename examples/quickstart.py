@@ -43,11 +43,11 @@ def main() -> None:
     print()
     print(f"{'':24}{'ME-HPT':>12}{'ECPT':>12}")
     print(f"{'page-table memory':24}"
-          f"{format_bytes(mehpt.total_bytes()):>12}"
-          f"{format_bytes(ecpt.total_bytes()):>12}")
+          f"{format_bytes(mehpt.allocation_stats.current_bytes):>12}"
+          f"{format_bytes(ecpt.allocation_stats.current_bytes):>12}")
     print(f"{'peak memory':24}"
-          f"{format_bytes(mehpt.peak_total_bytes):>12}"
-          f"{format_bytes(ecpt.peak_total_bytes):>12}")
+          f"{format_bytes(mehpt.allocation_stats.peak_bytes):>12}"
+          f"{format_bytes(ecpt.allocation_stats.peak_bytes):>12}")
     print(f"{'max contiguous alloc':24}"
           f"{format_bytes(mehpt.max_contiguous_bytes()):>12}"
           f"{format_bytes(ecpt.max_contiguous_bytes()):>12}")

@@ -120,9 +120,6 @@ class CuckooDirectory:
     def total_bytes(self) -> int:
         return self._table.total_bytes()
 
-    def peak_bytes(self) -> int:
-        return self._table.peak_bytes
-
     def way_sizes(self) -> list:
         return [way.size for way in self._table.ways]
 

@@ -21,6 +21,7 @@ from repro.hashing.cuckoo import ElasticCuckooTable, ElasticWay
 from repro.hashing.hashes import HashFamily, mix64
 from repro.hashing.policies import PerWayResizePolicy
 from repro.hashing.storage import ChunkedStorage, UnlimitedChunkBudget
+from repro.mem.allocator import CostModelAllocator
 
 
 def _hash_key(key: str) -> int:
@@ -45,7 +46,10 @@ class MemEfficientKVStore:
         Contiguous-allocation unit; the store never asks the allocator
         for more than one chunk at a time.
     allocator:
-        Optional cost-model allocator to account allocations against.
+        The allocator the store's chunks are charged to; a
+        :class:`~repro.mem.allocator.CostModelAllocator` of its own when
+        omitted.  Its stats are the store's memory count:
+        :meth:`peak_bytes` and :meth:`max_contiguous_bytes` read them.
     """
 
     def __init__(
@@ -58,6 +62,9 @@ class MemEfficientKVStore:
     ) -> None:
         family = HashFamily(seed=seed)
         budget = UnlimitedChunkBudget()
+        if allocator is None:
+            allocator = CostModelAllocator()
+        self._allocator = allocator
         way_objs = [
             ElasticWay(
                 w,
@@ -79,13 +86,12 @@ class MemEfficientKVStore:
             ),
             rng=DeterministicRng(seed + 1),
         )
-        #: Collision-safe key check: store the key string in the value.
-        self._chunk_bytes = chunk_bytes
 
     # -- mapping interface --------------------------------------------------
 
     def put(self, key: str, value: Any) -> None:
         """Insert or update ``key``."""
+        # Collision-safe key check: the stored value carries the key string.
         self._table.insert(_hash_key(key), (key, value))
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -121,12 +127,12 @@ class MemEfficientKVStore:
         return self._table.total_bytes()
 
     def peak_bytes(self) -> int:
-        """Peak physical bytes (in-place resizing keeps this ~= final)."""
-        return self._table.peak_bytes
+        """Peak allocated bytes (in-place resizing keeps this ~= final)."""
+        return self._allocator.stats.peak_bytes
 
     def max_contiguous_bytes(self) -> int:
-        """The store never needs more contiguous memory than one chunk."""
-        return self._chunk_bytes
+        """Largest single allocation so far: one chunk at most."""
+        return self._allocator.stats.max_contiguous_bytes
 
     def occupancy(self) -> float:
         return self._table.occupancy()

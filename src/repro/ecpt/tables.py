@@ -3,7 +3,9 @@
 :class:`HashedPageTableSet` bundles one
 :class:`~repro.hashing.clustered.ClusteredHashedPageTable` per page size
 (4KB, 2MB, 1GB) together with the Cuckoo Walk Tables the walker needs and
-the memory accounting the evaluation reports.  The ECPT baseline and
+the allocator's :class:`~repro.mem.allocator.AllocationStats`, the one
+count of page-table memory the evaluation reports (current, peak and
+largest contiguous bytes, and cycles).  The ECPT baseline and
 ME-HPT both subclass it; they differ only in how the underlying cuckoo
 tables are constructed (storage layout, resize policy, chunk ladder).
 
@@ -63,12 +65,11 @@ class HashedPageTableSet:
         self.pud_cwt = pud_cwt
         #: Walker-owned CWCs register here for invalidation on CWT changes.
         self.cwc_listeners: list = []
-        self.peak_total_bytes = self.total_bytes()
 
     # -- kernel API -------------------------------------------------------
 
     def map(self, vpn: int, ppn: int, page_size: str = "4K") -> MapResult:
-        """Insert a translation; updates CWTs and memory accounting.
+        """Insert a translation; updates CWTs.
 
         The result's ``alloc_cycles`` is the growth of the allocator's
         cycle total across the map.
@@ -76,9 +77,6 @@ class HashedPageTableSet:
         before = self.allocation_stats.cycles
         result = self.tables[page_size].map(vpn, ppn)
         self._count_in_cwts(vpn, page_size)
-        if result.new_block:
-            # Table bytes change only inside a cuckoo insert or delete.
-            self._track_peak()
         result.alloc_cycles = self.allocation_stats.cycles - before
         return result
 
@@ -115,9 +113,6 @@ class HashedPageTableSet:
                     self._invalidate_cwcs(self.pmd_cwt, vpn)
             if self.pud_cwt.remove(vpn, page_size):
                 self._invalidate_cwcs(self.pud_cwt, vpn)
-            # A delete can start an out-of-place downsize, which
-            # allocates the smaller way before the old one is freed.
-            self._track_peak()
         return present
 
     def translate(self, vpn: int) -> Optional[Tuple[int, str]]:
@@ -131,7 +126,11 @@ class HashedPageTableSet:
     # -- accounting ------------------------------------------------------
 
     def total_bytes(self) -> int:
-        """Current page-table memory across all page sizes."""
+        """Bytes the way storages hold now across all page sizes, unscaled.
+
+        A sum over the structure; the reported count is
+        ``allocation_stats.current_bytes``.
+        """
         return sum(table.total_bytes() for table in self.tables.values())
 
     def max_contiguous_bytes(self) -> int:
@@ -187,11 +186,6 @@ class HashedPageTableSet:
         """
         for table in self.tables.values():
             table.table.check_invariants()
-
-    def _track_peak(self) -> None:
-        total = self.total_bytes()
-        if total > self.peak_total_bytes:
-            self.peak_total_bytes = total
 
     def _count_in_cwts(self, vpn: int, page_size: str) -> None:
         """Record a new ``page_size`` mapping at ``vpn`` in the CWTs."""

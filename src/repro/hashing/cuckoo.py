@@ -276,7 +276,6 @@ class ElasticCuckooTable:
         #: key -> value for every stored item: the functional view the
         #: slots hold, read by lookups instead of probing each way.
         self._index: Dict[int, Any] = {}
-        self.peak_bytes = self.total_bytes()
         self._emergency_depth = 0
 
     # -- basic queries -------------------------------------------------
@@ -361,7 +360,6 @@ class ElasticCuckooTable:
         if self.obs is not None and kicks:
             self.obs.emit(EVENT_CUCKOO_KICK, table=self.obs_label, kicks=kicks)
         self.policy.check_resize(self)
-        self._update_peak()
         return kicks
 
     def delete(self, key: int) -> bool:
@@ -417,7 +415,6 @@ class ElasticCuckooTable:
                 self._emit_resize(
                     EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=False,
                 )
-        self._update_peak()
 
     def start_downsize(self, way: ElasticWay) -> None:
         """Halve ``way``; in place when supported, else out of place."""
@@ -438,7 +435,6 @@ class ElasticCuckooTable:
                 self._emit_resize(
                     EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=False,
                 )
-        self._update_peak()
 
     @staticmethod
     def _can_shrink_in_place(storage: Storage) -> bool:
@@ -732,11 +728,6 @@ class ElasticCuckooTable:
             way.count = sum(1 for _ in self._way_items(way))
         self._index = dict(self.items())
         self.count = len(self._index)
-
-    def _update_peak(self) -> None:
-        total = self.total_bytes()
-        if total > self.peak_bytes:
-            self.peak_bytes = total
 
     def _emit_resize(self, kind: str, way: ElasticWay, **payload) -> None:
         if self.obs is not None:

@@ -127,13 +127,18 @@ class PerWayResizePolicy(ResizePolicy):
         return table.rng.weighted_index(weights)
 
     def insertion_weights(self, table: "ElasticCuckooTable") -> list:
-        """FREE_i / FREE_total weights with the paper's zero-weight rule."""
-        sizes = [way.size for way in table.ways]
+        """FREE_i / FREE_total weights with the paper's zero-weight rule.
+
+        A way larger than a sibling is blocked once it reaches the upsize
+        threshold.  Being larger than some sibling is being larger than
+        the smallest way, so one minimum serves every way.
+        """
+        smallest = min(way.size for way in table.ways)
         weights = []
         for way in table.ways:
             free = max(0, way.size - way.count)
             blocked = (
-                way.size > min(s for i, s in enumerate(sizes) if i != way.index)
+                way.size > smallest
                 and way.occupancy() >= self.upsize_threshold
             )
             weights.append(0.0 if blocked else float(free))

@@ -15,7 +15,11 @@ elastic cuckoo table is oblivious to which one it sits on:
 
 Storages charge their allocations to an *allocator* object (duck-typed;
 see :mod:`repro.mem.allocator`) which models allocation cycle costs and
-failure under fragmentation.
+failure under fragmentation.  The allocator's
+:class:`~repro.mem.allocator.AllocationStats` is the one count of
+page-table memory: current, peak and largest contiguous bytes, and
+cycles.  A storage's :meth:`~Storage.total_bytes` sums only its own
+regions, for per-way reporting.
 """
 
 from __future__ import annotations
@@ -118,10 +122,6 @@ class Storage:
         """Physical bytes currently backing this storage."""
         raise NotImplementedError
 
-    def max_contiguous_bytes(self) -> int:
-        """Largest single contiguous allocation this storage ever made."""
-        raise NotImplementedError
-
     def release(self) -> None:
         """Free all physical memory backing this storage."""
         raise NotImplementedError
@@ -189,9 +189,6 @@ class ContiguousStorage(Storage):
 
     def total_bytes(self) -> int:
         return 0 if self._released else len(self._slots) * self.slot_bytes
-
-    def max_contiguous_bytes(self) -> int:
-        return len(self._slots) * self.slot_bytes
 
     def release(self) -> None:
         if not self._released:
@@ -339,9 +336,6 @@ class ChunkedStorage(Storage):
 
     def total_bytes(self) -> int:
         return 0 if self._released else len(self._chunks) * self.chunk_bytes
-
-    def max_contiguous_bytes(self) -> int:
-        return self.chunk_bytes
 
     def release(self) -> None:
         if not self._released:

@@ -182,7 +182,8 @@ CATALOGUE: Dict[str, MetricSpec] = {
         "Live page-table bytes at snapshot time, full-scale equivalent."),
     "alloc.peak_bytes": MetricSpec(
         KIND_GAUGE, "bytes", "repro.mem.allocator",
-        "Peak page-table bytes, full-scale equivalent."),
+        "Peak page-table bytes, full-scale equivalent (a memory "
+        "result's peak_pt_bytes)."),
     "alloc.max_contiguous_bytes": MetricSpec(
         KIND_GAUGE, "bytes", "repro.mem.allocator",
         "Largest single contiguous request (Figure 8's quantity)."),

@@ -129,7 +129,6 @@ class Machine:
         self.remote_dram_accesses = 0
         self.remote_delta_cycles = 0.0
         self.spill_allocations = 0
-        self._holdouts: List[Tuple[int, int]] = []
 
     def fragment(self, fraction: float) -> None:
         """Pre-fragment every pool deterministically (no RNG).
@@ -141,14 +140,11 @@ class Machine:
         """
         if not 0.0 <= fraction < 1.0:
             raise ConfigurationError("frag fraction must be in [0, 1)")
-        for socket, pool in enumerate(self.pools):
+        for pool in self.pools:
             target = int(pool.total_frames * fraction)
             starts = [pool.alloc_order(0) for _ in range(target)]
-            for index, start in enumerate(starts):
-                if index % 2:
-                    pool.free(start)
-                else:
-                    self._holdouts.append((socket, start))
+            for start in starts[1::2]:
+                pool.free(start)
 
     def on_walk(self, cycles: float) -> None:
         """Attribute one finished page walk to the active socket."""

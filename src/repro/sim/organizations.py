@@ -190,10 +190,15 @@ class Ecpt:
         )
 
     def memory_fields(self, tables, pt_fault_cycles, scale) -> Dict[str, object]:
-        """This organization's :class:`MemoryFootprintResult` fields."""
+        """This organization's :class:`MemoryFootprintResult` fields.
+
+        Current and peak bytes come from the allocator's stats, which
+        already count at full-scale equivalents.
+        """
+        stats = tables.allocation_stats
         return dict(
-            total_pt_bytes=tables.total_bytes() * scale,
-            peak_pt_bytes=tables.peak_total_bytes * scale,
+            total_pt_bytes=stats.current_bytes,
+            peak_pt_bytes=stats.peak_bytes,
             pt_alloc_cycles=tables.allocation_cycles(),
             upsizes_per_way_4k=tables.upsizes_per_way("4K"),
             way_bytes_4k=[b * scale for b in tables.way_bytes("4K")],

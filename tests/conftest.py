@@ -17,11 +17,16 @@ def make_contiguous_table(
     seed: int = 7,
     policy=None,
     allow_downsize: bool = True,
+    allocator=None,
 ) -> ElasticCuckooTable:
     """A small ECPT-style table: contiguous ways, all-way policy."""
     family = HashFamily(seed=seed)
     way_objs = [
-        ElasticWay(i, family.function(i), ContiguousStorage(initial_slots))
+        ElasticWay(
+            i,
+            family.function(i),
+            ContiguousStorage(initial_slots, allocator=allocator),
+        )
         for i in range(ways)
     ]
     if policy is None:
@@ -30,7 +35,7 @@ def make_contiguous_table(
     return ElasticCuckooTable(
         way_objs,
         policy,
-        lambda w, slots: ContiguousStorage(slots),
+        lambda w, slots: ContiguousStorage(slots, allocator=allocator),
         rng=DeterministicRng(seed + 1),
     )
 
@@ -42,6 +47,7 @@ def make_chunked_table(
     seed: int = 7,
     budget=None,
     allow_downsize: bool = True,
+    allocator=None,
 ) -> ElasticCuckooTable:
     """A small ME-HPT-style table: chunked ways, per-way policy."""
     family = HashFamily(seed=seed)
@@ -50,7 +56,10 @@ def make_chunked_table(
         ElasticWay(
             i,
             family.function(i),
-            ChunkedStorage(initial_slots, chunk_bytes=chunk_bytes, budget=shared_budget),
+            ChunkedStorage(
+                initial_slots, chunk_bytes=chunk_bytes,
+                allocator=allocator, budget=shared_budget,
+            ),
         )
         for i in range(ways)
     ]
@@ -60,7 +69,8 @@ def make_chunked_table(
         way_objs,
         policy,
         lambda w, slots: ChunkedStorage(
-            slots, chunk_bytes=chunk_bytes, budget=shared_budget
+            slots, chunk_bytes=chunk_bytes,
+            allocator=allocator, budget=shared_budget,
         ),
         rng=DeterministicRng(seed + 2),
     )

@@ -120,7 +120,10 @@ class TestInPlaceResizing:
         for i in range(40_000):
             inplace.map(0x1000 + i, i)
             outofplace.map(0x1000 + i, i)
-        assert inplace.peak_total_bytes < outofplace.peak_total_bytes
+        assert (
+            inplace.allocation_stats.peak_bytes
+            < outofplace.allocation_stats.peak_bytes
+        )
 
 
 class TestL2PIntegration:

@@ -86,7 +86,7 @@ class TestContiguityBehaviour:
             tables.map(0x1000 + i, i)
         # Out-of-place resizing keeps old+new alive: peak > final unless
         # the final state itself still holds both tables.
-        assert tables.peak_total_bytes >= tables.total_bytes()
+        assert tables.allocation_stats.peak_bytes >= tables.total_bytes()
 
 
 class TestStatistics:

@@ -4,11 +4,15 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.hashing.clustered import PAGES_PER_BLOCK, ClusteredHashedPageTable
+from repro.mem.allocator import CostModelAllocator
 from tests.conftest import make_chunked_table, make_contiguous_table
 
 
 def make_pt(page_size="4K", table=None):
-    return ClusteredHashedPageTable(page_size, table or make_contiguous_table())
+    # An empty table is falsy (it has a length), so test for None.
+    if table is None:
+        table = make_contiguous_table()
+    return ClusteredHashedPageTable(page_size, table)
 
 
 class TestClustering:
@@ -95,13 +99,15 @@ class TestProbeLines:
 
 class TestAccounting:
     def test_peak_bytes_monotonic(self):
-        pt = make_pt(table=make_chunked_table(initial_slots=16))
-        last_peak = pt.table.peak_bytes
+        allocator = CostModelAllocator(fmfi=0.1)
+        stats = allocator.stats
+        pt = make_pt(table=make_chunked_table(initial_slots=16, allocator=allocator))
+        last_peak = stats.peak_bytes
         for i in range(2000):
             pt.map(0x1000 + i, i)
-            assert pt.table.peak_bytes >= last_peak
-            last_peak = pt.table.peak_bytes
-        assert pt.table.peak_bytes >= pt.total_bytes()
+            assert stats.peak_bytes >= last_peak
+            last_peak = stats.peak_bytes
+        assert stats.peak_bytes >= pt.total_bytes()
 
     def test_occupancy_in_range(self):
         pt = make_pt()

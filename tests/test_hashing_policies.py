@@ -79,6 +79,23 @@ class TestPerWayPolicy:
         assert weights[0] == 0.0
         way.count = 0  # restore for teardown sanity
 
+    def test_two_larger_ways_weighted_independently(self):
+        table = make_chunked_table(initial_slots=16)
+        policy = table.policy
+        for way in table.ways[:2]:
+            table.start_upsize(way)
+        table.drain()
+        full_big, roomy_big, small = table.ways
+        assert [way.size for way in table.ways] == [32, 32, 16]
+        assert policy.upsize_threshold == 0.6
+        # Past the threshold a larger way is blocked, the smallest is not.
+        full_big.count = 20
+        roomy_big.count = 1
+        small.count = 10
+        assert policy.insertion_weights(table) == [0.0, 31.0, 6.0]
+        for way in table.ways:
+            way.count = 0  # restore for teardown sanity
+
     def test_upsizes_balanced_long_run(self):
         table = make_chunked_table(initial_slots=16)
         for key in range(4000):

@@ -37,7 +37,6 @@ class TestContiguousStorage:
         assert allocator.stats.allocations == 1
         assert allocator.stats.max_contiguous_bytes == 1024 * 64
         assert storage.total_bytes() == 1024 * 64
-        assert storage.max_contiguous_bytes() == 1024 * 64
 
     def test_release_frees_memory(self):
         allocator = CostModelAllocator(fmfi=0.1)
@@ -104,8 +103,9 @@ class TestChunkedStorage:
         assert budget.in_use == 1
 
     def test_max_contiguous_is_one_chunk(self):
-        storage = ChunkedStorage(1024, chunk_bytes=2048)
-        assert storage.max_contiguous_bytes() == 2048
+        allocator = CostModelAllocator(fmfi=0.1)
+        storage = ChunkedStorage(1024, chunk_bytes=2048, allocator=allocator)
+        assert allocator.stats.max_contiguous_bytes == 2048
         assert storage.total_bytes() == 1024 * 64
 
     def test_release_returns_all_chunks(self):
