@@ -18,7 +18,7 @@ Table I come from.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.mapping import MapResult
@@ -80,29 +80,31 @@ class HashedPageTableSet:
         result.alloc_cycles = self.allocation_stats.cycles - before
         return result
 
-    def fill(self, vpn: int, ppn: int) -> bool:
-        """Map the 4KB page ``vpn`` into its existing HPT line, if any.
+    def fill(self, vpns: Sequence[int], start: int, ppn: int, vma) -> int:
+        """Map a run of 4KB pages of ``vpns`` into one existing HPT line.
 
         The MAP_POPULATE shortcut
         (:meth:`~repro.kernel.address_space.AddressSpace.fault_in`):
-        equivalent to a :meth:`translate` that returns None followed by a
-        ``map(vpn, ppn, "4K")`` that inserts no line, and counts the same
-        lookups (one on each of the 1GB and 2MB tables, two on the 4KB
-        one) and CWT entries.  Returns False, changing nothing and
-        counting nothing, when the 4KB line is absent, the page is
-        mapped, or a 2MB or 1GB page covers it.
+        writes ``vpns[start]`` and every following page that shares its
+        4KB line, lies in ``vma`` and is unmapped, to frames ``ppn``,
+        ``ppn + 1``, ..., and returns how many it wrote.  Each written
+        page is equivalent to a :meth:`translate` that returns None
+        followed by a ``map(vpn, ppn, "4K")`` that inserts no line, and
+        counts the same lookups (one on each of the 1GB and 2MB tables,
+        two on the 4KB one) and CWT entries.  Returns 0, changing
+        nothing and counting nothing, when the 4KB line is absent, the
+        first page is mapped, or a 2MB or 1GB page covers it.
         """
         tables = self.tables
-        if (
-            tables["1G"].covers(vpn)
-            or tables["2M"].covers(vpn)
-            or not tables["4K"].fill(vpn, ppn)
-        ):
-            return False
-        tables["1G"].table.stats.lookups += 1
-        tables["2M"].table.stats.lookups += 1
-        self._count_in_cwts(vpn, "4K")
-        return True
+        written = tables["4K"].fill(
+            vpns, start, ppn, vma, (tables["2M"], tables["1G"])
+        )
+        if written:
+            tables["1G"].table.stats.lookups += written
+            tables["2M"].table.stats.lookups += written
+            # A line lies inside one 2MB and one 1GB region.
+            self._count_in_cwts(vpns[start], "4K", written)
+        return written
 
     def unmap(self, vpn: int, page_size: str = "4K") -> bool:
         """Remove a translation; updates CWTs."""
@@ -187,12 +189,12 @@ class HashedPageTableSet:
         for table in self.tables.values():
             table.table.check_invariants()
 
-    def _count_in_cwts(self, vpn: int, page_size: str) -> None:
-        """Record a new ``page_size`` mapping at ``vpn`` in the CWTs."""
+    def _count_in_cwts(self, vpn: int, page_size: str, pages: int = 1) -> None:
+        """Record ``pages`` new ``page_size`` mappings in ``vpn``'s regions."""
         if page_size in ("4K", "2M"):
-            if self.pmd_cwt.add(vpn, page_size):
+            if self.pmd_cwt.add(vpn, page_size, pages):
                 self._invalidate_cwcs(self.pmd_cwt, vpn)
-        if self.pud_cwt.add(vpn, page_size):
+        if self.pud_cwt.add(vpn, page_size, pages):
             self._invalidate_cwcs(self.pud_cwt, vpn)
 
     def _invalidate_cwcs(self, cwt, vpn: int) -> None:

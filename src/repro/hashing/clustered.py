@@ -15,7 +15,7 @@ cuckoo table underneath.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -70,7 +70,9 @@ class ClusteredHashedPageTable:
         block, sub = self._split(vpn)
         entries = self.table.lookup(block)
         if entries is not None:
-            self._set_entry(entries, sub, ppn)
+            if entries[sub] is None:
+                self.mapped_pages += 1
+            entries[sub] = ppn
             return MapResult(new_block=False, kicks=0)
         entries = [None] * PAGES_PER_BLOCK
         entries[sub] = ppn
@@ -78,29 +80,45 @@ class ClusteredHashedPageTable:
         self.mapped_pages += 1
         return MapResult(new_block=True, kicks=kicks)
 
-    def fill(self, vpn: int, ppn: int) -> bool:
-        """Map ``vpn`` into its existing HPT line; False if there is none.
+    def fill(self, vpns: Sequence[int], start: int, ppn: int, vma, larger) -> int:
+        """Map a run of ``vpns`` from ``start`` into one existing HPT line.
 
-        Equivalent to a :meth:`translate` that returns None followed by a
-        :meth:`map` that inserts nothing, and counts the two lookups
-        those make.  Returns False, changing nothing and counting no
-        lookup, when the line is absent or already maps the page.
-        ``vpn`` must be aligned for this table's page size.
+        Writes ``vpns[start]``, ``vpns[start + 1]``, ... to frames
+        ``ppn``, ``ppn + 1``, ... for as long as the pages share the
+        first page's line, lie in ``vma`` (anything with ``start_vpn``
+        and ``end_vpn``) and are unmapped; returns how many it wrote.
+        Each written page counts the two lookups a :meth:`translate`
+        that returns None and a :meth:`map` that inserts nothing make.
+        Returns 0, changing nothing and counting nothing, when the line
+        is absent, the first page is mapped or outside ``vma``, or a
+        table in ``larger`` :meth:`covers` it (one check serves the run:
+        a line never straddles a larger page).  ``vpns`` must be aligned
+        for this table's page size.
         """
-        page = vpn >> self._shift
-        entries = self.table.peek(page >> _BLOCK_SHIFT)
-        sub = page & _BLOCK_MASK
-        if entries is None or entries[sub] is not None:
-            return False
-        self.table.stats.lookups += 2
-        self._set_entry(entries, sub, ppn)
-        return True
-
-    def _set_entry(self, entries: list, sub: int, ppn: int) -> None:
-        """Write one PTE into an existing line (no cuckoo insert)."""
-        if entries[sub] is None:
-            self.mapped_pages += 1
-        entries[sub] = ppn
+        vpn = vpns[start]
+        shift = self._shift
+        line = vpn >> shift >> _BLOCK_SHIFT
+        entries = self.table.peek(line)
+        if entries is None:
+            return 0
+        for table in larger:
+            if table.covers(vpn):
+                return 0
+        lo = max(vma.start_vpn, line << _BLOCK_SHIFT << shift)
+        hi = min(vma.end_vpn, (line + 1) << _BLOCK_SHIFT << shift)
+        i = start
+        while i < len(vpns):
+            vpn = vpns[i]
+            sub = (vpn >> shift) & _BLOCK_MASK
+            if not lo <= vpn < hi or entries[sub] is not None:
+                break
+            entries[sub] = ppn
+            ppn += 1
+            i += 1
+        written = i - start
+        self.mapped_pages += written
+        self.table.stats.lookups += 2 * written
+        return written
 
     def unmap(self, vpn: int) -> bool:
         """Remove the mapping for the page containing ``vpn``."""

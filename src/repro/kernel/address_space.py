@@ -15,7 +15,7 @@ The fault handler is where the page-table organizations differ in *cost*:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, MEHPTError
 from repro.kernel.thp import PAGES_PER_2M, REGION_SHIFT, ThpPolicy
@@ -103,10 +103,11 @@ class AddressSpace:
 
     :meth:`fault_in` is the MAP_POPULATE loop behind
     :func:`~repro.sim.simulator.populate_tables` and :meth:`populate`.
-    Beside :meth:`handle_fault` it has a fill path: a 4KB page whose HPT
-    line or radix PTE node already exists is written by the tables'
-    ``fill`` and billed as :meth:`handle_fault` would bill it, without
-    the per-page fault path.
+    Beside :meth:`handle_fault` it has a fill path: a run of 4KB pages
+    that share an HPT line or radix PTE node which already exists is
+    written by one call to the tables' ``fill`` and billed page by page
+    as :meth:`handle_fault` would bill it, without the per-page fault
+    path.
     """
 
     def __init__(
@@ -192,39 +193,60 @@ class AddressSpace:
         self._account(vpn, fault)
         return fault
 
-    def fault_in(self, vpns: Iterable[int]) -> None:
+    def fault_in(self, vpns: Sequence[int]) -> None:
         """Fault in every unmapped page of ``vpns``, in order (MAP_POPULATE).
 
-        A page whose fault would map 4KB (it lies in a VMA, and THP's
-        choice clipped to that VMA is 4KB) first goes to the tables'
-        ``fill``, which writes it into an HPT line or radix PTE node an
-        earlier page created.  A filled page takes the next frame and is
-        charged, totalled and traced exactly as :meth:`handle_fault`
-        would charge it: overhead plus data allocation, no table
-        allocation, no kicks.  Every other page -- the first of each
-        line or node, 2MB pages, anything ``fill`` declines -- takes
-        ``translate`` and, if unmapped, :meth:`handle_fault`, so inserts,
-        resizes, allocations and aborts keep their one code path.
+        At a page whose fault would map 4KB (it lies in a VMA, and THP's
+        choice clipped to that VMA is 4KB) the tables' ``fill`` first
+        writes the run of pages from it that share an HPT line or radix
+        PTE node an earlier page created, lie in the same VMA and are
+        unmapped.  The run takes the next frames and is charged,
+        totalled and traced exactly as :meth:`handle_fault` would charge
+        its pages one by one: overhead plus data allocation, no table
+        allocation, no kicks, the float totals added once per page in
+        page order.  Every other page -- the first of each line or node,
+        2MB pages, anything ``fill`` declines -- takes ``translate`` and,
+        if unmapped, :meth:`handle_fault`, so inserts, resizes,
+        allocations and aborts keep their one code path.
         """
         fill = self.page_tables.fill
         translate = self.page_tables.translate
+        totals = self.totals
         # What handle_fault bills a 4KB map that allocates no table
-        # memory: the allocator totals do not move, so 0.0 table cycles.
+        # memory: the allocator totals do not move, so 0.0 table cycles,
+        # and adding 0.0 leaves the (never -0.0) totals as they are.
         filled = self._bill("4K", self._data_alloc_cycles("4K"), 0.0, 0)
+        cycles = filled.cycles
+        data_cycles = filled.data_alloc_cycles
         vma = None
         region = -1
         small = False
-        for vpn in vpns:
+        i = 0
+        while i < len(vpns):
+            vpn = vpns[i]
             # A fault's page size is fixed per 2MB region and VMA.
             if vpn >> REGION_SHIFT != region or vma is None or not vma.covers(vpn):
                 region = vpn >> REGION_SHIFT
                 vma = self.vma_for(vpn)
                 small = vma is not None and self._page_size(vpn, vma) == "4K"
-            if small and fill(vpn, self._next_frame):
-                self._next_frame += 1  # the frame _alloc_frames("4K") hands out
-                self._account(vpn, filled)
+            run = fill(vpns, i, self._next_frame, vma) if small else 0
+            if run:
+                # The frames _alloc_frames("4K") hands out, one per page.
+                self._next_frame += run
+                totals.faults += run
+                totals.pages_mapped_4k += run
+                # One float addition per page, as absorb makes them.
+                total, data_total = totals.cycles, totals.data_alloc_cycles
+                for _ in range(run):
+                    total += cycles
+                    data_total += data_cycles
+                totals.cycles, totals.data_alloc_cycles = total, data_total
+                if self.obs is not None:
+                    for page in vpns[i:i + run]:
+                        self._trace(page, filled)
             elif translate(vpn) is None:
                 self.handle_fault(vpn)
+            i += run or 1
 
     def _page_size(self, vpn: int, vma: Vma) -> str:
         """The page size a fault at ``vpn`` inside ``vma`` maps."""
@@ -266,13 +288,17 @@ class AddressSpace:
         else:
             self.totals.pages_mapped_4k += 1
         if self.obs is not None:
-            self.obs.emit(
-                EVENT_FAULT_SERVICED,
-                vpn=vpn, page_size=fault.page_size, cycles=fault.cycles,
-                pt_alloc_cycles=fault.pt_alloc_cycles,
-                reinsert_cycles=fault.reinsert_cycles,
-                data_alloc_cycles=fault.data_alloc_cycles, kicks=fault.kicks,
-            )
+            self._trace(vpn, fault)
+
+    def _trace(self, vpn: int, fault: FaultResult) -> None:
+        """Emit one serviced fault's ``fault_serviced`` event."""
+        self.obs.emit(
+            EVENT_FAULT_SERVICED,
+            vpn=vpn, page_size=fault.page_size, cycles=fault.cycles,
+            pt_alloc_cycles=fault.pt_alloc_cycles,
+            reinsert_cycles=fault.reinsert_cycles,
+            data_alloc_cycles=fault.data_alloc_cycles, kicks=fault.kicks,
+        )
 
     # -- convenience -------------------------------------------------------
 

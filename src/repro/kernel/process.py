@@ -20,9 +20,10 @@ class Process:
     """One runnable process with its own translation machinery.
 
     ``trace`` is the process's (possibly very long) virtual-page access
-    stream; the scheduler consumes it in quanta.  ``l2p`` is set for
-    ME-HPT processes and None otherwise — the context-switch model uses
-    it to price the L2P save/restore.
+    stream; the scheduler consumes it in quanta.  ``org`` is the page
+    tables' organization (:mod:`repro.sim.organizations`), which answers
+    for them: ``l2p`` is its L2P table for ME-HPT and None otherwise —
+    the context-switch model uses it to price the L2P save/restore.
     """
 
     def __init__(
@@ -31,13 +32,14 @@ class Process:
         address_space: AddressSpace,
         tlb,
         trace: np.ndarray,
-        l2p=None,
+        org,
     ) -> None:
         self.name = name
         self.address_space = address_space
         self.tlb = tlb
         self.trace = trace
-        self.l2p = l2p
+        self.org = org
+        self.l2p = org.l2p(address_space.page_tables)
         self.cursor = 0
         self.cycles = 0.0
         self.accesses_done = 0
@@ -53,7 +55,4 @@ class Process:
         global-HPT alternative would need a linear scan of everything —
         the Section II-B argument for per-process tables.
         """
-        tables = getattr(self.address_space.page_tables, "tables", None)
-        if tables is None:
-            return 0
-        return sum(len(t.table) for t in tables.values())
+        return self.org.teardown_entries(self.address_space.page_tables)

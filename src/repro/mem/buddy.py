@@ -139,6 +139,37 @@ class BuddyAllocator:
         if heap is not None:
             heappush(heap, start)
 
+    def checkerboard(self, frames: int) -> None:
+        """Allocate frames ``0 .. frames - 1`` and free the odd ones.
+
+        Builds directly the state a fresh pool reaches by ``frames``
+        order-0 allocations, which the lowest-start policy hands out in
+        order, followed by freeing every odd one: even frames below
+        ``frames`` allocated at order 0, odd ones free at order 0 (each
+        buddy is allocated, so none coalesces), and the rest of the
+        top-order blocks the allocations split tiled by the aligned free
+        blocks the splits leave.  Every heap is None.  Raises
+        :class:`ConfigurationError` unless nothing is allocated (a pool
+        with nothing allocated has coalesced back to top-order blocks).
+        """
+        if self._allocated:
+            raise ConfigurationError("checkerboard needs a fresh pool")
+        if not 0 <= frames <= self.total_frames:
+            raise ConfigurationError(f"cannot checkerboard {frames} frames")
+        top = self.max_order
+        free_lists = self.free_lists
+        # The top-order blocks the allocations split end at ``split_end``.
+        split_end = -(-frames >> top) << top
+        free_lists[top].difference_update(range(0, split_end, 1 << top))
+        start = frames
+        while start < split_end:
+            order = (start & -start).bit_length() - 1
+            free_lists[order].add(start)
+            start += 1 << order
+        free_lists[0].update(range(1, frames, 2))
+        self._allocated = dict.fromkeys(range(0, frames, 2), 0)
+        self._heaps = [None] * (top + 1)
+
     def allocated_blocks(self) -> Dict[int, int]:
         """Return a copy of the allocated {start_frame: order} map."""
         return dict(self._allocated)

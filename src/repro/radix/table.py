@@ -20,7 +20,7 @@ page (Table I, column 3).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.mapping import MapResult
@@ -135,27 +135,42 @@ class RadixPageTable:
         self.node_count += created
         return MapResult(nodes=created)
 
-    def fill(self, vpn: int, ppn: int) -> bool:
-        """Map the 4KB page ``vpn`` into its existing PTE node, if any.
+    def fill(self, vpns: Sequence[int], start: int, ppn: int, vma) -> int:
+        """Map a run of 4KB pages of ``vpns`` into one existing PTE node.
 
         The MAP_POPULATE shortcut
         (:meth:`~repro.kernel.address_space.AddressSpace.fault_in`):
-        equivalent to a :meth:`translate` that returns None followed by a
-        ``map(vpn, ppn, "4K")`` that allocates no node.  Returns False,
-        changing nothing, when the PTE node is absent, the page is
+        writes ``vpns[start]`` and every following page that shares its
+        PTE node, lies in ``vma`` (anything with ``start_vpn`` and
+        ``end_vpn``) and is unmapped, to frames ``ppn``, ``ppn + 1``,
+        ..., and returns how many it wrote.  Each written page is
+        equivalent to a :meth:`translate` that returns None followed by
+        a ``map(vpn, ppn, "4K")`` that allocates no node.  Returns 0,
+        changing nothing, when the PTE node is absent, the first page is
         mapped, or a 2MB or 1GB page covers it.
         """
+        vpn = vpns[start]
         node = self.root
         for shift in range((self.levels - 1) * LEVEL_BITS, 0, -LEVEL_BITS):
             node = node.entries.get((vpn >> shift) & (FANOUT - 1))
             if not isinstance(node, _Node):
-                return False
-        leaf_index = vpn & (FANOUT - 1)
-        if leaf_index in node.entries:
-            return False
-        self.mapped_pages["4K"] += 1
-        node.entries[leaf_index] = _Leaf(ppn, "4K")
-        return True
+                return 0
+        entries = node.entries
+        base = vpn & ~(FANOUT - 1)
+        lo = max(vma.start_vpn, base)
+        hi = min(vma.end_vpn, base + FANOUT)
+        i = start
+        while i < len(vpns):
+            vpn = vpns[i]
+            index = vpn & (FANOUT - 1)
+            if not lo <= vpn < hi or index in entries:
+                break
+            entries[index] = _Leaf(ppn, "4K")
+            ppn += 1
+            i += 1
+        written = i - start
+        self.mapped_pages["4K"] += written
+        return written
 
     def unmap(self, vpn: int, page_size: str = "4K") -> bool:
         """Remove a mapping; empty intermediate nodes are retained (as the
@@ -241,6 +256,12 @@ class RadixPageTable:
                 return None
             node = entry
         return node
+
+    def check_invariants(self) -> None:
+        """No check: the model verifies no radix-tree invariant.
+
+        Present so the simulator runs every organization's check alike.
+        """
 
     # -- accounting -------------------------------------------------------
 

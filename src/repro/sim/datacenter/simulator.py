@@ -303,7 +303,7 @@ class DatacenterSimulator:
             address_space=system.address_space,
             tlb=system.tlb,
             trace=workload.trace(self.trace_length, seed_offset=index),
-            l2p=getattr(system.page_tables, "l2p", None),
+            org=system.org,
         )
         driver = QuantumEngine(
             process, system, caches=self._cache_batch, machine=self.machine

@@ -133,18 +133,18 @@ class Machine:
     def fragment(self, fraction: float) -> None:
         """Pre-fragment every pool deterministically (no RNG).
 
-        Allocates ``fraction`` of each pool's frames as order-0 singles,
-        then frees every other one: the freed frames cannot coalesce past
-        order 0, so large-order requests see a genuinely fragmented pool.
-        The surviving holdouts stay allocated for the whole run.
+        Leaves each pool as allocating ``fraction`` of its frames as
+        order-0 singles, then freeing every other one, would
+        (:meth:`~repro.mem.buddy.BuddyAllocator.checkerboard`): the
+        freed frames cannot coalesce past order 0, so large-order
+        requests see a genuinely fragmented pool.  The surviving
+        holdouts stay allocated for the whole run.  The pools must be
+        fresh.
         """
         if not 0.0 <= fraction < 1.0:
             raise ConfigurationError("frag fraction must be in [0, 1)")
         for pool in self.pools:
-            target = int(pool.total_frames * fraction)
-            starts = [pool.alloc_order(0) for _ in range(target)]
-            for start in starts[1::2]:
-                pool.free(start)
+            pool.checkerboard(int(pool.total_frames * fraction))
 
     def on_walk(self, cycles: float) -> None:
         """Attribute one finished page walk to the active socket."""

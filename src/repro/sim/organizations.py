@@ -22,7 +22,10 @@ method or attribute of that organization's object here:
   :func:`~repro.obs.collectors.register_system_metrics` registers;
 * :meth:`~Radix.placements` / :meth:`~Radix.growth` — the NUMA
   placement units and the scan signature's growth count for the
-  datacenter model.
+  datacenter model;
+* :meth:`~Radix.teardown_entries` / :meth:`~Radix.l2p` — the HPT
+  entries a process exit deletes and the L2P table a context switch
+  saves, for :class:`~repro.kernel.process.Process`.
 
 This is a name-keyed registry rather than methods on the table classes:
 the trace report knows only the organization's name, the build needs a
@@ -119,6 +122,14 @@ class Radix:
     def growth(self, tables) -> int:
         """Nodes created so far: the tree grows without the pool noticing."""
         return tables.node_count
+
+    def teardown_entries(self, tables) -> int:
+        """HPT entries a process exit deletes: a radix tree holds none."""
+        return 0
+
+    def l2p(self, tables):
+        """The L2P table a context switch saves: radix has none."""
+        return None
 
 
 class Ecpt:
@@ -220,6 +231,14 @@ class Ecpt:
         """Constant: hashed tables only grow through pool allocations."""
         return 0
 
+    def teardown_entries(self, tables) -> int:
+        """HPT entries a process exit deletes: its own, by a table drop."""
+        return sum(len(per_size.table) for per_size in tables.tables.values())
+
+    def l2p(self, tables):
+        """The L2P table a context switch saves: ECPT has none."""
+        return None
+
 
 class MeHpt(Ecpt):
     """ME-HPT: ECPT plus chunked ways, the L2P table, in-place and
@@ -243,6 +262,10 @@ class MeHpt(Ecpt):
     def l2p_exposed(self, kicks, scale, l2p_cycles) -> float:
         """One exposed L2P lookup per cuckoo kick, at full scale."""
         return kicks * scale * l2p_cycles
+
+    def l2p(self, tables):
+        """The L2P table a context switch saves and restores."""
+        return tables.l2p
 
     def memory_fields(self, tables, pt_fault_cycles, scale) -> Dict[str, object]:
         """ECPT's fields plus L2P usage and chunk-size transitions."""

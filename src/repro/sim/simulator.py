@@ -8,9 +8,10 @@ Two entry points:
   usage and cuckoo statistics are products of *which pages exist*, not of
   the access order.  The pages go through
   :meth:`~repro.kernel.address_space.AddressSpace.fault_in`, which
-  fills a 4KB page whose HPT line or radix PTE node already exists
-  without the per-page fault path and faults every other page through
-  ``handle_fault``, with the same bill, totals and trace either way.
+  fills each run of 4KB pages whose HPT line or radix PTE node already
+  exists with one table call, without the per-page fault path, and
+  faults every other page through ``handle_fault``, with the same
+  bill, totals and trace either way.
 
 * :class:`TranslationSimulator` — run an access trace through the TLB
   hierarchy and walker, demand-faulting as pages are first touched, and
@@ -98,11 +99,8 @@ def check_system_invariants(system: SimulatedSystem, progress: int) -> None:
     Re-raises the :class:`SimulationError` with the simulation progress
     (accesses or pages processed) merged into its structured context.
     """
-    checker = getattr(system.page_tables, "check_invariants", None)
-    if checker is None:
-        return
     try:
-        checker()
+        system.page_tables.check_invariants()
     except SimulationError as exc:
         exc.context.setdefault("progress", progress)
         exc.context.setdefault("organization", system.config.organization)
@@ -138,7 +136,9 @@ def populate_tables(system: SimulatedSystem, progress_every: int = 0) -> None:
                 due = max(every, -(-start // every) * every)
                 stop = min(stop, due + 1)
         block = page_set[start:stop]
-        aspace.fault_in(block.tolist() if hasattr(block, "tolist") else map(int, block))
+        aspace.fault_in(
+            block.tolist() if hasattr(block, "tolist") else list(map(int, block))
+        )
         last = stop - 1
         if check_every and last % check_every == 0 and last:
             check_system_invariants(system, last)

@@ -1,16 +1,16 @@
 """MAP_POPULATE a leaf container at a time (AddressSpace.fault_in).
 
 ``populate_tables`` hands the page set to ``AddressSpace.fault_in``,
-which writes a page into the HPT line or radix PTE node an earlier page
-created through the tables' ``fill`` and sends every other page through
-``translate`` and ``handle_fault``.  These tests compare it against the
+which writes each run of pages that share an HPT line or radix PTE node
+an earlier page created through one call to the tables' ``fill`` and
+sends every other page through ``translate`` and ``handle_fault``.  These tests compare it against the
 page-at-a-time loop it replaced -- ``translate``, then ``handle_fault``,
 with the same invariant-check and progress cadence -- on everything a
 populate leaves behind: the result record with its metrics snapshot,
 the trace bytes, the fault totals and frame counter, the CWTs and CWCs,
 every HPT line and radix mapping, and the exception and state of a
 failed check or an abort.  The ``fill`` unit tests pin down that each
-decline changes nothing and counts nothing.
+decline changes nothing and counts nothing, and where a run stops.
 """
 
 import itertools
@@ -25,7 +25,7 @@ from repro.ecpt.tables import EcptPageTables
 from repro.experiments.runner import ExperimentSettings
 from repro.faults.plan import SITES, FaultPlan, FaultSpec
 from repro.hashing import storage
-from repro.kernel.address_space import AddressSpace, SegmentationFault
+from repro.kernel.address_space import AddressSpace, SegmentationFault, Vma
 from repro.kernel.thp import PAGES_PER_2M, ThpPolicy
 from repro.mem.allocator import CostModelAllocator
 from repro.obs import ObservabilityConfig
@@ -222,13 +222,24 @@ def hpt_counters(tables):
 BASE = PAGES_PER_2M * 64
 
 
+#: A VMA around every page the table tests touch.
+VMA = Vma(BASE - PAGES_PER_2M, BASE + 2 * PAGES_PER_2M)
+
+
+def run_by_map(tables, vpns, ppn):
+    """What a filled run must equal: ``translate`` + ``map`` per page."""
+    for offset, vpn in enumerate(vpns):
+        assert tables.translate(vpn) is None
+        tables.map(vpn, ppn + offset, "4K")
+
+
 class TestHptFill:
     @pytest.mark.parametrize("cls", [EcptPageTables, MeHptPageTables])
     def test_fill_counts_what_translate_and_map_count(self, cls):
         filled, mapped = hpt(cls), hpt(cls)
         for tables in (filled, mapped):
             tables.map(BASE, 1, "4K")
-        assert filled.fill(BASE + 3, 7)
+        assert filled.fill([BASE + 3], 0, 7, VMA) == 1
         assert mapped.translate(BASE + 3) is None
         mapped.map(BASE + 3, 7, "4K")
         assert hpt_counters(filled) == hpt_counters(mapped)
@@ -247,8 +258,43 @@ class TestHptFill:
             huge = RadixPageTable.align_vpn(vpn, case)
             tables.map(huge, 9, case)
         before = hpt_counters(tables)
-        assert not tables.fill(vpn, 42)
+        assert tables.fill([vpn, vpn + 2], 0, 42, VMA) == 0
         assert hpt_counters(tables) == before
+
+    # (piece, VMA, pages the run writes); page BASE + 4 of the line
+    # BASE .. BASE + 7 is mapped beforehand.
+    RUNS = {
+        # Stops at the 9th page of the line: the next line's first page.
+        "line_edge": ([BASE + 5, BASE + 6, BASE + 7, BASE + 8], VMA, 3),
+        # Stops at a page mapped in the middle of the piece.
+        "mapped": ([BASE + 1, BASE + 2, BASE + 3, BASE + 4, BASE + 5], VMA, 3),
+        # Two VMAs share the line: [.., BASE + 6) and [BASE + 6, ..).
+        "vma_end": ([BASE + 5, BASE + 6, BASE + 7], Vma(BASE - 8, BASE + 6), 1),
+        "vma_start": ([BASE + 7, BASE + 6, BASE + 5], Vma(BASE + 6, BASE + 99), 2),
+        # Out of order within the line, then a repeat of a written page.
+        "unsorted": ([BASE + 6, BASE + 1, BASE + 7, BASE + 3, BASE + 1], VMA, 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    @pytest.mark.parametrize("cls", [EcptPageTables, MeHptPageTables])
+    def test_run_stops_where_the_line_or_vma_does(self, cls, case):
+        vpns, vma, expected = self.RUNS[case]
+        filled, mapped = hpt(cls), hpt(cls)
+        for tables in (filled, mapped):
+            tables.map(BASE + 4, 1, "4K")
+        assert filled.fill(vpns, 0, 100, vma) == expected
+        run_by_map(mapped, vpns[:expected], 100)
+        assert hpt_counters(filled) == hpt_counters(mapped)
+
+    @pytest.mark.parametrize("cls", [EcptPageTables, MeHptPageTables])
+    def test_run_from_a_later_start(self, cls):
+        filled, mapped = hpt(cls), hpt(cls)
+        for tables in (filled, mapped):
+            tables.map(BASE + 8, 1, "4K")
+        vpns = list(range(BASE, BASE + 24))
+        assert filled.fill(vpns, 9, 50, VMA) == 7
+        run_by_map(mapped, vpns[9:16], 50)
+        assert hpt_counters(filled) == hpt_counters(mapped)
 
 
 def radix_state(table):
@@ -262,7 +308,7 @@ class TestRadixFill:
         filled, mapped = RadixPageTable(), RadixPageTable()
         for table in (filled, mapped):
             table.map(BASE, 1)
-        assert filled.fill(BASE + 3, 7)
+        assert filled.fill([BASE + 3], 0, 7, VMA) == 1
         mapped.map(BASE + 3, 7)
         assert radix_state(filled) == radix_state(mapped)
         assert filled.translate(BASE + 3) == (7, "4K")
@@ -276,8 +322,34 @@ class TestRadixFill:
         elif case in ("2M", "1G"):
             table.map(RadixPageTable.align_vpn(vpn, case), 9, case)
         before = radix_state(table)
-        assert not table.fill(vpn, 42)
+        assert table.fill([vpn, vpn + 1], 0, 42, VMA) == 0
         assert radix_state(table) == before
+
+    # (piece, VMA, pages the run writes); page BASE + 100 of the node
+    # BASE .. BASE + 511 is mapped beforehand.
+    RUNS = {
+        # Stops at the 513th page of the node: the next node's first.
+        "node_edge": (list(range(BASE + 101, BASE + 600)), VMA, 411),
+        "mapped": (list(range(BASE + 90, BASE + 120)), VMA, 10),
+        # Two VMAs share the node: [.., BASE + 300) and [BASE + 300, ..).
+        "vma_end": (
+            list(range(BASE + 290, BASE + 310)), Vma(BASE - 8, BASE + 300), 10,
+        ),
+        "vma_start": (
+            list(range(BASE + 310, BASE + 290, -1)), Vma(BASE + 300, BASE + 999), 11,
+        ),
+        "unsorted": ([BASE + 7, BASE + 3, BASE + 511, BASE, BASE + 3], VMA, 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    def test_run_stops_where_the_node_or_vma_does(self, case):
+        vpns, vma, expected = self.RUNS[case]
+        filled, mapped = RadixPageTable(), RadixPageTable()
+        for table in (filled, mapped):
+            table.map(BASE + 100, 1)
+        assert filled.fill(vpns, 0, 100, vma) == expected
+        run_by_map(mapped, vpns[:expected], 100)
+        assert radix_state(filled) == radix_state(mapped)
 
 
 class TestFaultIn:
@@ -306,6 +378,32 @@ class TestFaultIn:
             ]))
         assert runs[0] == runs[1]
         assert runs[0][0].pages_mapped_2m > 0
+
+    @pytest.mark.parametrize("cls", [EcptPageTables, MeHptPageTables, RadixPageTable])
+    def test_dense_runs_total_like_handle_fault(self, cls):
+        # Every page of two VMAs that share an HPT line and a PTE node,
+        # so runs reach 7 pages in a line and 511 in a node.  At FMFI
+        # 0.3 a 4KB page's data cost is not a whole number of cycles:
+        # only one float addition per page, in page order, gives the
+        # totals handle_fault gives.
+        totals = []
+        for per_page in (False, True):
+            tables = cls() if cls is RadixPageTable else hpt(cls)
+            aspace = AddressSpace(tables, fmfi=0.3)
+            aspace.add_vma(BASE + 5, 1_000, "a")
+            aspace.add_vma(BASE + 1_005, 1_500, "b")
+            vpns = list(range(BASE + 5, BASE + 2_505))
+            if per_page:
+                for vpn in vpns:
+                    aspace.handle_fault(vpn)
+            else:
+                aspace.fault_in(vpns)
+            assert [tables.translate(v)[0] for v in vpns] == [
+                (1 << 20) + i for i in range(len(vpns))
+            ]
+            totals.append([(f, repr(v)) for f, v in vars(aspace.totals).items()])
+        assert totals[0] == totals[1]
+        assert aspace.totals.data_alloc_cycles % 1
 
     def test_outside_every_vma_raises(self):
         aspace = AddressSpace(RadixPageTable(), fmfi=0.3)

@@ -28,7 +28,7 @@ def make_driver(app="TC", trace_length=3_000, engine="auto",
         address_space=system.address_space,
         tlb=system.tlb,
         trace=workload.trace(trace_length),
-        l2p=getattr(system.page_tables, "l2p", None),
+        org=system.org,
     )
     return QuantumEngine(process, system)
 
@@ -129,5 +129,5 @@ class TestTeardown:
         workload = get_workload("TC", scale=SCALE)
         system = SimulationConfig(organization="radix", scale=SCALE).build(workload)
         process = Process("r", system.address_space, system.tlb,
-                          workload.trace(100), l2p=None)
+                          workload.trace(100), org=system.org)
         assert process.teardown_entries() == 0

@@ -198,3 +198,62 @@ class TestLowestStartPolicy:
         assert heap is None or len(heap) <= 2 * len(buddy.free_lists[0])
         assert buddy.alloc_order(0) == 3
         assert buddy.alloc_order(0) == 5
+
+
+def checkerboard_by_loop(pool, frames):
+    """The reference: ``frames`` order-0 allocations, then free the odd ones."""
+    starts = [pool.alloc_order(0) for _ in range(frames)]
+    for start in starts[1::2]:
+        pool.free(start)
+
+
+class TestCheckerboard:
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 0.75])
+    @pytest.mark.parametrize("mb", [1, 2, 4, 8, 16, 32, 64])
+    def test_same_state_as_the_loop(self, mb, fraction):
+        built, looped = BuddyAllocator(mb * MB), BuddyAllocator(mb * MB)
+        frames = int(built.total_frames * fraction)
+        built.checkerboard(frames)
+        checkerboard_by_loop(looped, frames)
+        assert built.free_lists == looped.free_lists
+        assert built._allocated == looped._allocated
+        assert built._heaps == looped._heaps
+        built.check_invariants()
+
+    @pytest.mark.parametrize("frames", [0, 1, 2, 77, 128, 255, 256, 257, 511])
+    def test_several_top_blocks(self, frames):
+        # Three top-order blocks: the loop leaves a live heap at the top
+        # order where the direct build leaves None; both are valid, so
+        # every later allocation must pick the same block.
+        built = BuddyAllocator(768 * 4 * KB, max_order=8)
+        looped = BuddyAllocator(768 * 4 * KB, max_order=8)
+        built.checkerboard(frames)
+        checkerboard_by_loop(looped, frames)
+        assert built.free_lists == looped.free_lists
+        assert built._allocated == looped._allocated
+        built.check_invariants()
+        rng = random.Random(frames)
+        for _ in range(300):
+            if built._allocated and rng.random() < 0.4:
+                start = rng.choice(sorted(built._allocated))
+                built.free(start)
+                looped.free(start)
+                continue
+            order = rng.choice((0, 1, 3, 8))
+            try:
+                start = looped.alloc_order(order)
+            except OutOfMemoryError:
+                with pytest.raises(OutOfMemoryError):
+                    built.alloc_order(order)
+                continue
+            assert built.alloc_order(order) == start
+        assert built.free_lists == looped.free_lists
+
+    def test_rejects_a_pool_in_use(self):
+        pool = BuddyAllocator(1 * MB)
+        pool.free(pool.alloc_order(3))
+        pool.checkerboard(10)  # everything freed: fresh again
+        with pytest.raises(ConfigurationError):
+            pool.checkerboard(10)
+        with pytest.raises(ConfigurationError):
+            BuddyAllocator(1 * MB).checkerboard(257)

@@ -5,8 +5,9 @@ Every organization-dependent decision — build, batched walker, OS-cost
 terms, memory-result fields, metric collectors, NUMA placement — goes
 through the organization object a system reaches as ``system.org``.
 These tests parse the simulator, observability, MMU and kernel packages
-and fail on any comparison against an organization name or any
-``isinstance`` check against a walker or page-table class outside the
+and fail on any comparison against an organization name, any
+``isinstance`` check against a walker or page-table class, and any
+``getattr``/``hasattr`` probe of a ``page_tables`` object outside the
 registry, so the organization knowledge cannot drift back out of it.
 """
 
@@ -65,6 +66,13 @@ def _names(node):
     return []
 
 
+def _is_page_tables(node):
+    """Whether ``node`` is a ``page_tables`` name or attribute."""
+    return (
+        isinstance(node, ast.Name) and node.id == "page_tables"
+    ) or (isinstance(node, ast.Attribute) and node.attr == "page_tables")
+
+
 def organization_branches(source: str):
     """``(line, description)`` of every organization branch in ``source``."""
     found = []
@@ -83,6 +91,14 @@ def organization_branches(source: str):
             for name in _names(node.args[1]):
                 if name in ORGANIZATION_CLASSES:
                     found.append((node.lineno, f"isinstance against {name}"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and node.args
+            and _is_page_tables(node.args[0])
+        ):
+            found.append((node.lineno, f"{node.func.id} on page tables"))
     return found
 
 
@@ -100,10 +116,25 @@ def test_registry_names_the_config_organizations():
         "ok = isinstance(walker, (walker_mod.EcptWalker, int))",
         "ok = isinstance(tables, MeHptPageTables)",
         "ok = isinstance(tables, radix.RadixPageTable)",
+        'l2p = getattr(system.page_tables, "l2p", None)',
+        'tables = getattr(self.address_space.page_tables, "tables", None)',
+        'ok = hasattr(page_tables, "check_invariants")',
     ),
 )
 def test_guard_detects_branches(source):
     assert organization_branches(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    (
+        'ok = hasattr(walker, "cwt_memory_reads")',
+        'bind = getattr(workload, "bind_observability", None)',
+        "tables = system.page_tables",
+    ),
+)
+def test_guard_passes_other_probes(source):
+    assert not organization_branches(source)
 
 
 def test_no_organization_branches_outside_the_registry():

@@ -294,7 +294,7 @@ class TestEngineUnit:
         system = config.build(workload)
         process = Process(
             name="p", address_space=system.address_space, tlb=system.tlb,
-            trace=workload.trace(2_000),
+            trace=workload.trace(2_000), org=system.org,
         )
         engine = QuantumEngine(process, system)
         while not process.finished:
