@@ -106,10 +106,6 @@ class L2POverflowError(MEHPTError):
     """
 
 
-class TranslationFault(MEHPTError):
-    """An address translation was attempted for an unmapped virtual page."""
-
-
 class TraceFormatError(MEHPTError):
     """A binary address-trace file is malformed, truncated, or corrupt.
 

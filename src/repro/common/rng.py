@@ -110,14 +110,6 @@ class DeterministicRng:
                 high = mid
         return low
 
-    def py_random(self) -> random.Random:
-        """Expose the underlying :class:`random.Random` for bulk generation."""
-        return self._random
-
-    def numpy_seed(self) -> int:
-        """Return a 32-bit seed suitable for :class:`numpy.random.Generator`."""
-        return self.seed & 0x7FFFFFFF
-
 
 def make_rng(seed_or_rng: Optional[object], default_seed: int = 0) -> DeterministicRng:
     """Coerce ``seed_or_rng`` (None, int, or DeterministicRng) to an RNG."""

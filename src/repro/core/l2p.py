@@ -52,10 +52,6 @@ class L2PSubtable(ChunkBudget):
         self.peak_in_use = 0
 
     @property
-    def capacity_alone(self) -> int:
-        return ENTRIES_PER_SUBTABLE
-
-    @property
     def capacity_with_steal(self) -> int:
         return ENTRIES_PER_SUBTABLE * MAX_STEAL_FACTOR
 

@@ -1,7 +1,9 @@
 """ME-HPT page tables: all four techniques assembled (Section IV).
 
 :class:`MeHptPageTables` wires the generic elastic cuckoo engine into the
-paper's design:
+paper's design.  The per-page-size table build is
+:class:`~repro.ecpt.tables.HashedPageTableSet`'s, shared with ECPT; this
+class supplies the storages, the out-of-place factory and the policy:
 
 * ways live on :class:`~repro.hashing.storage.ChunkedStorage` whose chunk
   budget is the L2P subtable for that (way, page size) — technique (i),
@@ -10,7 +12,8 @@ paper's design:
   factory moves up the ladder when the L2P budget is exhausted —
   technique (ii), **dynamically-changing chunk sizes**;
 * ordinary upsizes/downsizes extend/shrink the chunked storage and rehash
-  with the one-extra-bit rule — technique (iii), **in-place resizing**;
+  with the one-extra-bit rule — technique (iii), **in-place resizing**,
+  which the tables' ``inplace_enabled`` flag (``enable_inplace``) allows;
 * the resize policy is per-way with the balance rule and weighted-random
   insertion — technique (iv), **per-way resizing**.
 
@@ -21,14 +24,14 @@ attribute savings to individual techniques.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from functools import partial
+from typing import Dict, List, Optional
 
 from repro.common.errors import (
     ConfigurationError,
     ContiguousAllocationError,
     L2POverflowError,
 )
-from repro.common.rng import DeterministicRng, make_rng
 from repro.common.units import CACHE_LINE
 from repro.core.chunks import ChunkLadder
 from repro.core.l2p import L2PTable
@@ -40,9 +43,6 @@ from repro.ecpt.tables import (
     PAGE_SIZES,
     HashedPageTableSet,
 )
-from repro.hashing.clustered import ClusteredHashedPageTable
-from repro.hashing.cuckoo import ElasticCuckooTable, ElasticWay
-from repro.hashing.hashes import HashFamily
 from repro.hashing.policies import AllWayResizePolicy, PerWayResizePolicy
 from repro.hashing.storage import ChunkedStorage
 from repro.mem.allocator import CostModelAllocator
@@ -68,7 +68,6 @@ class MeHptPageTables(HashedPageTableSet):
     def __init__(
         self,
         allocator: Optional[CostModelAllocator] = None,
-        rng: Optional[DeterministicRng] = None,
         ways: int = DEFAULT_WAYS,
         initial_slots: int = DEFAULT_INITIAL_SLOTS,
         hash_seed: int = 0,
@@ -81,13 +80,10 @@ class MeHptPageTables(HashedPageTableSet):
         enable_perway: bool = True,
         l2p: Optional[L2PTable] = None,
         adaptive_policy: Optional["AdaptiveChunkPolicy"] = None,
-        page_sizes: Iterable[str] = PAGE_SIZES,
         fault_plan: Optional[FaultPlan] = None,
         degradation: Optional[DegradationLog] = None,
         obs=None,
     ) -> None:
-        rng = make_rng(rng)
-        self.allocator = allocator if allocator is not None else CostModelAllocator()
         self.ladder = chunk_ladder if chunk_ladder is not None else ChunkLadder()
         self.l2p = l2p if l2p is not None else L2PTable(ways)
         self.fault_plan = fault_plan
@@ -101,85 +97,33 @@ class MeHptPageTables(HashedPageTableSet):
         #: chunk sizing at transitions (None = the fixed ladder walk).
         self.adaptive_policy = adaptive_policy
         #: Out-of-place chunk-size transitions observed, per page size.
-        self.chunk_transitions: Dict[str, int] = {}
-        tables: Dict[str, ClusteredHashedPageTable] = {}
-        for size_index, page_size in enumerate(page_sizes):
-            self.chunk_transitions[page_size] = 0
-            tables[page_size] = self._build_table(
-                page_size=page_size,
-                size_index=size_index,
-                rng=rng,
-                ways=ways,
-                initial_slots=initial_slots,
-                hash_seed=hash_seed,
-                upsize_threshold=upsize_threshold,
-                downsize_threshold=downsize_threshold,
-                rehashes_per_insert=rehashes_per_insert,
-                allow_downsize=allow_downsize,
-            )
-        super().__init__(tables, self.allocator.stats)
-
-    # -- construction -----------------------------------------------------
-
-    def _build_table(
-        self,
-        page_size: str,
-        size_index: int,
-        rng: DeterministicRng,
-        ways: int,
-        initial_slots: int,
-        hash_seed: int,
-        upsize_threshold: float,
-        downsize_threshold: float,
-        rehashes_per_insert: int,
-        allow_downsize: bool,
-    ) -> ClusteredHashedPageTable:
-        family = HashFamily(seed=hash_seed * 31 + size_index)
-        table_ref: Dict[str, ElasticCuckooTable] = {}
-
-        def factory(way_index: int, new_slots: int) -> Optional[ChunkedStorage]:
-            return self._resize_storage(
-                table_ref["table"], page_size, way_index, new_slots
-            )
-
-        way_objs: List[ElasticWay] = []
-        for w in range(ways):
-            storage = ChunkedStorage(
+        self.chunk_transitions: Dict[str, int] = dict.fromkeys(PAGE_SIZES, 0)
+        policy_class = PerWayResizePolicy if enable_perway else AllWayResizePolicy
+        super().__init__(
+            allocator, ways, hash_seed, salt=100,
+            storage=lambda way, page_size: ChunkedStorage(
                 initial_slots,
                 chunk_bytes=self.ladder.smallest,
                 slot_bytes=CACHE_LINE,
                 allocator=self.allocator,
-                budget=self._budget(w, page_size),
-            )
-            way_objs.append(ElasticWay(w, family.function(w), storage))
-        if self.enable_perway:
-            policy = PerWayResizePolicy(
+                budget=self._budget(way, page_size),
+            ),
+            factory=lambda page_size: partial(self._resize_storage, page_size),
+            policy=partial(
+                policy_class,
                 upsize_threshold=upsize_threshold,
                 downsize_threshold=downsize_threshold,
                 min_way_slots=initial_slots,
                 allow_downsize=allow_downsize,
-            )
-        else:
-            policy = AllWayResizePolicy(
-                upsize_threshold=upsize_threshold,
-                downsize_threshold=downsize_threshold,
-                min_way_slots=initial_slots,
-                allow_downsize=allow_downsize,
-            )
-        table = ElasticCuckooTable(
-            way_objs,
-            policy,
-            factory,
-            rng=rng.fork(salt=100 + size_index),
+            ),
             rehashes_per_insert=rehashes_per_insert,
-            inplace_enabled=self.enable_inplace,
-            fault_plan=self.fault_plan,
-            degradation=self.degradation,
-            obs=self.obs,
-            obs_label=page_size,
+            inplace_enabled=enable_inplace,
+            fault_plan=fault_plan,
+            degradation=degradation,
+            obs=obs,
         )
-        table_ref["table"] = table
-        return ClusteredHashedPageTable(page_size, table)
+
+    # -- construction -----------------------------------------------------
 
     def _budget(self, way_index: int, page_size: str):
         """The chunk budget for one (way, page size) — fault-wrapped if armed."""
@@ -189,11 +133,7 @@ class MeHptPageTables(HashedPageTableSet):
         return budget
 
     def _resize_storage(
-        self,
-        table: ElasticCuckooTable,
-        page_size: str,
-        way_index: int,
-        new_slots: int,
+        self, page_size: str, way_index: int, new_slots: int
     ) -> Optional[ChunkedStorage]:
         """Build the target storage for an out-of-place resize of one way.
 
@@ -203,10 +143,10 @@ class MeHptPageTables(HashedPageTableSet):
         the old chunks still exist.  Returning ``None`` tells the engine
         to migrate eagerly: release the old chunks first, then call again.
         """
-        way = table.ways[way_index]
+        way = self.tables[page_size].table.ways[way_index]
         current_chunk = way.storage.chunk_bytes
         way_bytes = new_slots * CACHE_LINE
-        if new_slots > way.size and table.inplace_enabled:
+        if new_slots > way.size and self.enable_inplace:
             # A true chunk-size transition (Section IV-B): in-place growth
             # failed, so the ladder must move up.
             if self.adaptive_policy is not None:
@@ -253,7 +193,7 @@ class MeHptPageTables(HashedPageTableSet):
                 chunk_bytes = smaller
             except ConfigurationError:
                 # Old + new chunks do not fit the L2P budget simultaneously.
-                if table.inplace_enabled:
+                if self.enable_inplace:
                     # A genuine chunk transition (the rare one-off): the
                     # engine releases the old way and retries (eager move).
                     return None

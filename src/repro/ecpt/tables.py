@@ -1,36 +1,40 @@
 """Kernel-facing hashed page tables: the shared set and the ECPT build.
 
-:class:`HashedPageTableSet` bundles one
+:class:`HashedPageTableSet` builds one
 :class:`~repro.hashing.clustered.ClusteredHashedPageTable` per page size
-(4KB, 2MB, 1GB) together with the Cuckoo Walk Tables the walker needs and
-the allocator's :class:`~repro.mem.allocator.AllocationStats`, the one
-count of page-table memory the evaluation reports (current, peak and
-largest contiguous bytes, and cycles).  The ECPT baseline and
-ME-HPT both subclass it; they differ only in how the underlying cuckoo
-tables are constructed (storage layout, resize policy, chunk ladder).
+(4KB, 2MB, 1GB) and holds them together with the Cuckoo Walk Tables the
+walker needs and the allocator's
+:class:`~repro.mem.allocator.AllocationStats`, the one count of
+page-table memory the evaluation reports (current, peak and largest
+contiguous bytes, and cycles).  The ECPT baseline and ME-HPT both
+subclass it; they differ only in the way storages, the out-of-place
+target factory, the resize policy and whether ways resize in place,
+which they pass to its constructor.
 
-:class:`EcptPageTables` is the baseline: contiguous ways, all-way
-out-of-place resizing — each upsize allocates a fresh contiguous region
-twice the way size, which is where the 64MB contiguous allocations of
-Table I come from.
+:class:`EcptPageTables` is the baseline: ways of one chunk as large as
+the way, all-way out-of-place resizing — each upsize allocates a fresh
+contiguous region twice the way size, which is where the 64MB contiguous
+allocations of Table I come from.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError
 from repro.common.mapping import MapResult
-from repro.common.rng import DeterministicRng, make_rng
+from repro.common.rng import DeterministicRng
+from repro.common.units import CACHE_LINE
+from repro.ecpt.cwt import CuckooWalkTable
 from repro.faults.log import DegradationLog
 from repro.faults.plan import FaultPlan
 from repro.hashing.clustered import ClusteredHashedPageTable
-from repro.hashing.cuckoo import ElasticCuckooTable, ElasticWay
+from repro.hashing.cuckoo import ElasticCuckooTable, ElasticWay, StorageFactory
 from repro.hashing.hashes import HashFamily
-from repro.hashing.policies import AllWayResizePolicy
-from repro.hashing.storage import ContiguousStorage
-from repro.mem.allocator import AllocationStats, CostModelAllocator
+from repro.hashing.policies import AllWayResizePolicy, ResizePolicy
+from repro.hashing.storage import ChunkedStorage
+from repro.mem.allocator import CostModelAllocator
 
 PAGE_SIZES = ("4K", "2M", "1G")
 
@@ -40,29 +44,56 @@ DEFAULT_WAYS = 3
 
 
 class HashedPageTableSet:
-    """Per-process hashed page tables for all supported page sizes."""
+    """Per-process hashed page tables for all supported page sizes.
+
+    The constructor builds one ``ways``-way cuckoo table per page size:
+
+    storage:
+        ``storage(way, page_size)`` is a way's first storage.
+    factory:
+        ``factory(page_size)`` is the table's out-of-place target
+        factory (:data:`~repro.hashing.cuckoo.StorageFactory`).
+    policy:
+        ``policy()`` is a fresh resize policy for one table.
+    salt:
+        Base salt of the tables' way-choice streams, forked per page size
+        from ``DeterministicRng(0)``.
+
+    ``table_options`` go to every :class:`ElasticCuckooTable`.
+    """
 
     def __init__(
         self,
-        tables: Dict[str, ClusteredHashedPageTable],
-        allocation_stats: AllocationStats,
-        pmd_cwt=None,
-        pud_cwt=None,
+        allocator: Optional[CostModelAllocator],
+        ways: int,
+        hash_seed: int,
+        salt: int,
+        storage: Callable[[int, str], ChunkedStorage],
+        factory: Callable[[str], StorageFactory],
+        policy: Callable[[], ResizePolicy],
+        **table_options,
     ) -> None:
-        missing = set(PAGE_SIZES) - set(tables)
-        if missing:
-            raise ConfigurationError(f"missing page sizes: {sorted(missing)}")
-        self.tables = tables
-        self.allocation_stats = allocation_stats
-        # CWTs are created lazily to avoid import cycles in subclasses that
-        # pass none (pure capacity experiments need no walker machinery).
-        if pmd_cwt is None or pud_cwt is None:
-            from repro.ecpt.cwt import CuckooWalkTable
-
-            pmd_cwt = pmd_cwt or CuckooWalkTable("pmd")
-            pud_cwt = pud_cwt or CuckooWalkTable("pud")
-        self.pmd_cwt = pmd_cwt
-        self.pud_cwt = pud_cwt
+        self.allocator = allocator if allocator is not None else CostModelAllocator()
+        self.allocation_stats = self.allocator.stats
+        rng = DeterministicRng(0)
+        self.tables: Dict[str, ClusteredHashedPageTable] = {}
+        for size_index, page_size in enumerate(PAGE_SIZES):
+            family = HashFamily(seed=hash_seed * 31 + size_index)
+            way_objs = [
+                ElasticWay(w, family.function(w), storage(w, page_size))
+                for w in range(ways)
+            ]
+            table = ElasticCuckooTable(
+                way_objs,
+                policy(),
+                factory(page_size),
+                rng=rng.fork(salt=salt + size_index),
+                obs_label=page_size,
+                **table_options,
+            )
+            self.tables[page_size] = ClusteredHashedPageTable(page_size, table)
+        self.pmd_cwt = CuckooWalkTable("pmd")
+        self.pud_cwt = CuckooWalkTable("pud")
         #: Walker-owned CWCs register here for invalidation on CWT changes.
         self.cwc_listeners: list = []
 
@@ -204,12 +235,11 @@ class HashedPageTableSet:
 
 
 class EcptPageTables(HashedPageTableSet):
-    """The ECPT baseline: contiguous ways, all-way out-of-place resizing."""
+    """The ECPT baseline: one-chunk ways, all-way out-of-place resizing."""
 
     def __init__(
         self,
         allocator: Optional[CostModelAllocator] = None,
-        rng: Optional[DeterministicRng] = None,
         ways: int = DEFAULT_WAYS,
         initial_slots: int = DEFAULT_INITIAL_SLOTS,
         hash_seed: int = 0,
@@ -217,45 +247,34 @@ class EcptPageTables(HashedPageTableSet):
         downsize_threshold: float = 0.2,
         rehashes_per_insert: int = 2,
         allow_downsize: bool = True,
-        page_sizes: Iterable[str] = PAGE_SIZES,
         fault_plan: Optional[FaultPlan] = None,
         degradation: Optional[DegradationLog] = None,
         obs=None,
     ) -> None:
-        rng = make_rng(rng)
-        self.allocator = allocator if allocator is not None else CostModelAllocator()
-        tables: Dict[str, ClusteredHashedPageTable] = {}
-        for size_index, page_size in enumerate(page_sizes):
-            family = HashFamily(seed=hash_seed * 31 + size_index)
-            alloc = self.allocator
+        allocator = allocator if allocator is not None else CostModelAllocator()
 
-            def factory(way_index: int, slots: int, _alloc=alloc):
-                return ContiguousStorage(slots, allocator=_alloc)
+        def way_storage(way_index: int, slots: int) -> ChunkedStorage:
+            # A way of one chunk as large as itself: one contiguous region.
+            # Closing over the allocator, not ``self``, keeps the tables
+            # free of a reference cycle, so a dropped set is freed at once.
+            return ChunkedStorage(
+                slots, chunk_bytes=slots * CACHE_LINE, allocator=allocator
+            )
 
-            way_objs = [
-                ElasticWay(
-                    w,
-                    family.function(w),
-                    ContiguousStorage(initial_slots, allocator=alloc),
-                )
-                for w in range(ways)
-            ]
-            policy = AllWayResizePolicy(
+        super().__init__(
+            allocator, ways, hash_seed, salt=0,
+            storage=lambda way, page_size: way_storage(way, initial_slots),
+            factory=lambda page_size: way_storage,
+            policy=partial(
+                AllWayResizePolicy,
                 upsize_threshold=upsize_threshold,
                 downsize_threshold=downsize_threshold,
                 min_way_slots=initial_slots,
                 allow_downsize=allow_downsize,
-            )
-            table = ElasticCuckooTable(
-                way_objs,
-                policy,
-                factory,
-                rng=rng.fork(salt=size_index),
-                rehashes_per_insert=rehashes_per_insert,
-                fault_plan=fault_plan,
-                degradation=degradation,
-                obs=obs,
-                obs_label=page_size,
-            )
-            tables[page_size] = ClusteredHashedPageTable(page_size, table)
-        super().__init__(tables, self.allocator.stats)
+            ),
+            rehashes_per_insert=rehashes_per_insert,
+            inplace_enabled=False,
+            fault_plan=fault_plan,
+            degradation=degradation,
+            obs=obs,
+        )

@@ -12,7 +12,7 @@ deterministically.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
@@ -256,9 +256,5 @@ class FaultInjectedBudget(ChunkBudget):
 
     @property
     def in_use(self) -> int:
-        return getattr(self.inner, "in_use", 0)
-
-
-def detail_pairs(**kwargs) -> Tuple[Tuple[str, object], ...]:
-    """Sorted (key, value) tuple for DegradationEvent details."""
-    return tuple(sorted(kwargs.items()))
+        """The wrapped budget's chunk pointers in use."""
+        return self.inner.in_use

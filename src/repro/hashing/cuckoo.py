@@ -1,15 +1,18 @@
 """Elastic W-way cuckoo hash table with gradual in-place/out-of-place resizing.
 
-This is the engine under both page-table organizations the paper studies:
+This is the engine under both page-table organizations the paper studies.
+Every way sits on a :class:`~repro.hashing.storage.ChunkedStorage`, and
+:meth:`ElasticCuckooTable.start_resize` is the one place that decides how
+a way resizes:
 
-* **ECPT baseline** — ways on :class:`~repro.hashing.storage.ContiguousStorage`
-  (which cannot grow in place), an all-way resize policy, and therefore
-  out-of-place gradual resizes exactly as in Elastic Cuckoo Page Tables.
-* **ME-HPT** — ways on :class:`~repro.hashing.storage.ChunkedStorage`, a
-  per-way resize policy, and in-place resizes using the paper's
-  one-extra-hash-bit rule (Section IV-C): an upsized way keeps its hash
-  function and indexes with ``hash & (2*size - 1)``, so an entry either
-  stays in place (new bit 0) or moves to ``old_index + old_size`` (bit 1).
+* **ECPT baseline** — one-chunk ways, an all-way resize policy and
+  ``inplace_enabled=False``, and therefore out-of-place gradual resizes
+  exactly as in Elastic Cuckoo Page Tables.
+* **ME-HPT** — ways of ladder-sized chunks, a per-way resize policy, and
+  in-place resizes using the paper's one-extra-hash-bit rule
+  (Section IV-C): an upsized way keeps its hash function and indexes with
+  ``hash & (2*size - 1)``, so an entry either stays in place (new bit 0)
+  or moves to ``old_index + old_size`` (bit 1).
 
 Gradual resizing follows Section II-B: each way under resize carries a
 *rehash pointer* ``P``; indices below ``P`` form the migrated region and
@@ -49,7 +52,7 @@ from repro.faults.log import (
     DegradationLog,
 )
 from repro.faults.plan import SITE_CUCKOO_KICKS, FaultPlan
-from repro.hashing.storage import Storage
+from repro.hashing.storage import ChunkedStorage
 from repro.obs.trace import (
     EVENT_CUCKOO_KICK,
     EVENT_RESIZE_BEGIN,
@@ -61,7 +64,7 @@ from repro.obs.trace import (
 #: ``(way_index, new_slots)``; may return ``None`` to request an eager
 #: stop-the-world migration (used when a chunk-size transition cannot hold
 #: old and new chunks simultaneously).
-StorageFactory = Callable[[int, int], Optional[Storage]]
+StorageFactory = Callable[[int, int], Optional[ChunkedStorage]]
 
 
 class TableStats:
@@ -118,13 +121,13 @@ class ElasticWay:
     ``old_size`` retains the previous one until the rehash completes.
     """
 
-    def __init__(self, index: int, hash_fn: Callable[[int], int], storage: Storage) -> None:
+    def __init__(self, index: int, hash_fn: Callable[[int], int], storage: ChunkedStorage) -> None:
         self.index = index
         self.hash = hash_fn
         self.storage = storage
         self.size = storage.size_slots
         self.old_size: Optional[int] = None
-        self.old_storage: Optional[Storage] = None
+        self.old_storage: Optional[ChunkedStorage] = None
         self.rehash_ptr: Optional[int] = None
         self.direction = 0  # +1 upsizing, -1 downsizing, 0 idle
         self.count = 0
@@ -145,7 +148,7 @@ class ElasticWay:
     def occupancy(self) -> float:
         return self.count / self.size if self.size else 0.0
 
-    def locate(self, h: int) -> Tuple[Storage, int]:
+    def locate(self, h: int) -> Tuple[ChunkedStorage, int]:
         """Map a hash value to the single (storage, index) slot to probe.
 
         Implements the paper's lookup rule during resizing: compare the
@@ -185,7 +188,7 @@ class ElasticWay:
 
     # -- resize state ------------------------------------------------------
 
-    def begin_resize(self, new_size: int, new_storage: Optional[Storage]) -> None:
+    def begin_resize(self, new_size: int, new_storage: Optional[ChunkedStorage]) -> None:
         if self.resizing:
             raise ConfigurationError("way is already resizing")
         if not is_power_of_two(new_size):
@@ -268,8 +271,9 @@ class ElasticCuckooTable:
         #: does not know which page size it serves.
         self.obs = obs
         self.obs_label = obs_label
-        #: When False (ablation), resizes always go out of place even if
-        #: the storage could grow in place.
+        #: Whether ways may resize in place: False for ECPT's one-chunk
+        #: ways and for the Figure 10 ablation, whose resizes always go
+        #: out of place.
         self.inplace_enabled = inplace_enabled
         self.stats = TableStats()
         self.count = 0
@@ -396,52 +400,32 @@ class ElasticCuckooTable:
 
     # -- resize initiation (called by policies) ---------------------------
 
-    def start_upsize(self, way: ElasticWay) -> None:
-        """Double ``way``, in place when its storage allows, else out of place."""
-        if way.resizing:
-            self.drain_way(way)
-        new_size = way.size * 2
-        if self.inplace_enabled and self._try_extend(way, new_size):
+    def start_resize(self, way: ElasticWay, grow: bool) -> None:
+        """Double (``grow``) or halve ``way``.
+
+        A resize already in flight on ``way`` finishes first, so the new
+        size is read after the drain (which may itself have resized the
+        way).  The resize is in place when :attr:`inplace_enabled` is set
+        and the way shrinks or its storage extends; otherwise the storage
+        factory supplies the target, or returns None to have the way
+        migrated eagerly.
+        """
+        self.drain_way(way)
+        new_size = way.size * 2 if grow else way.size // 2
+        if self.inplace_enabled and (not grow or self._try_extend(way, new_size)):
             way.begin_resize(new_size, None)
             self._emit_resize(
                 EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=True,
             )
+            return
+        new_storage = self.storage_factory(way.index, new_size)
+        if new_storage is None:
+            self._eager_migrate(way, new_size)
         else:
-            new_storage = self.storage_factory(way.index, new_size)
-            if new_storage is None:
-                self._eager_migrate(way, new_size)
-            else:
-                way.begin_resize(new_size, new_storage)
-                self._emit_resize(
-                    EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=False,
-                )
-
-    def start_downsize(self, way: ElasticWay) -> None:
-        """Halve ``way``; in place when supported, else out of place."""
-        if way.resizing:
-            self.drain_way(way)
-        new_size = way.size // 2
-        if self.inplace_enabled and self._can_shrink_in_place(way.storage):
-            way.begin_resize(new_size, None)
+            way.begin_resize(new_size, new_storage)
             self._emit_resize(
-                EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=True,
+                EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=False,
             )
-        else:
-            new_storage = self.storage_factory(way.index, new_size)
-            if new_storage is None:
-                self._eager_migrate(way, new_size)
-            else:
-                way.begin_resize(new_size, new_storage)
-                self._emit_resize(
-                    EVENT_RESIZE_BEGIN, way, new_size=new_size, inplace=False,
-                )
-
-    @staticmethod
-    def _can_shrink_in_place(storage: Storage) -> bool:
-        # ChunkedStorage can release trailing chunks; ContiguousStorage cannot.
-        from repro.hashing.storage import ChunkedStorage
-
-        return isinstance(storage, ChunkedStorage)
 
     def _try_extend(self, way: ElasticWay, new_size: int) -> bool:
         """Attempt the in-place extension, degrading on allocation failure.
@@ -690,7 +674,7 @@ class ElasticCuckooTable:
             EVENT_RESIZE_COMMIT, way, size=new_size, inplace=False, eager=True,
         )
 
-    def _recreate_storage(self, way: ElasticWay, new_size: int) -> Tuple[Storage, int]:
+    def _recreate_storage(self, way: ElasticWay, new_size: int) -> Tuple[ChunkedStorage, int]:
         """Storage for ``way`` after its old storage was released:
         ``(storage, size)`` at ``new_size``, else at the way's old size."""
         old_size = way.size
@@ -766,10 +750,9 @@ class ElasticCuckooTable:
                     component="cuckoo", way=way.index,
                     rehash_ptr=way.rehash_ptr, old_size=way.old_size,
                 )
-            for storage in (way.storage, way.old_storage):
-                checker = getattr(storage, "check_invariants", None)
-                if checker is not None:
-                    checker()
+            way.storage.check_invariants()
+            if way.old_storage is not None:
+                way.old_storage.check_invariants()
         if total != self.count:
             raise SimulationError(
                 "table count does not match sum of way counts",

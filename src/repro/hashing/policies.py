@@ -75,39 +75,27 @@ class AllWayResizePolicy(ResizePolicy):
     def check_resize(self, table: "ElasticCuckooTable") -> None:
         occupancy = table.occupancy()
         if occupancy >= self.upsize_threshold:
-            self._upsize_all(table)
+            self._resize_all(table, grow=True)
         elif (
             self.allow_downsize
             and occupancy <= self.downsize_threshold
             and all(way.size > self.min_way_slots for way in table.ways)
             and not table.resizing()
         ):
-            self._downsize_all(table)
+            self._resize_all(table, grow=False)
 
     def emergency_resize(self, table: "ElasticCuckooTable") -> None:
-        self._upsize_all(table)
+        self._resize_all(table, grow=True)
 
     @staticmethod
-    def _upsize_all(table: "ElasticCuckooTable") -> None:
+    def _resize_all(table: "ElasticCuckooTable", grow: bool) -> None:
         # All ways resize together; if a later way's allocation fails,
         # roll back the ways already started so the table is not left
         # straddling two generations (atomicity of the group resize).
         started = []
         try:
             for way in table.ways:
-                table.start_upsize(way)
-                started.append(way)
-        except Exception:
-            for way in reversed(started):
-                table.rollback_resize(way)
-            raise
-
-    @staticmethod
-    def _downsize_all(table: "ElasticCuckooTable") -> None:
-        started = []
-        try:
-            for way in table.ways:
-                table.start_downsize(way)
+                table.start_resize(way, grow)
                 started.append(way)
         except Exception:
             for way in reversed(started):
@@ -147,7 +135,7 @@ class PerWayResizePolicy(ResizePolicy):
     def check_resize(self, table: "ElasticCuckooTable") -> None:
         for way in table.ways:
             if way.occupancy() >= self.upsize_threshold and self._may_upsize(table, way):
-                table.start_upsize(way)
+                table.start_resize(way, grow=True)
         if not self.allow_downsize:
             return
         for way in table.ways:
@@ -157,7 +145,7 @@ class PerWayResizePolicy(ResizePolicy):
                 and self._may_downsize(table, way)
                 and not way.resizing
             ):
-                table.start_downsize(way)
+                table.start_resize(way, grow=False)
 
     def emergency_resize(self, table: "ElasticCuckooTable") -> None:
         # Grow the fullest way that the balance rule permits; if the rule
@@ -167,7 +155,7 @@ class PerWayResizePolicy(ResizePolicy):
         if not candidates:
             candidates = sorted(table.ways, key=lambda w: w.size)[:1]
         fullest = max(candidates, key=lambda w: w.occupancy())
-        table.start_upsize(fullest)
+        table.start_resize(fullest, grow=True)
 
     @staticmethod
     def _may_upsize(table: "ElasticCuckooTable", way: "ElasticWay") -> bool:

@@ -1,25 +1,28 @@
-"""Slot storage for cuckoo ways: contiguous regions and chunked regions.
+"""Slot storage for cuckoo ways: one chunked layout for both organizations.
 
 The paper's central observation is that a conventional HPT way must live
 in one *contiguous* physical region (Figure 2a), while an ME-HPT way is a
 collection of fixed-size *chunks* reached through the L2P table
-(Figure 2b).  This module models both layouts behind one interface so the
-elastic cuckoo table is oblivious to which one it sits on:
+(Figure 2b).  :class:`ChunkedStorage` models both:
 
-* :class:`ContiguousStorage` — one allocation per way; growing is
-  impossible in place, forcing out-of-place resizes (the ECPT baseline).
-* :class:`ChunkedStorage` — a list of chunks drawn from a
+* an ECPT way is one chunk as large as the way — a single allocation of
+  the whole way, resized out of place into a fresh one-chunk way;
+* an ME-HPT way is a list of ladder-sized chunks drawn from a
   :class:`ChunkBudget` (the L2P subtable); growing in place appends
   chunks, shrinking releases them, and exhausting the budget signals a
   chunk-size transition.
+
+Whether a way may resize in place at all is decided by its table
+(:attr:`repro.hashing.cuckoo.ElasticCuckooTable.inplace_enabled`), not by
+its storage.
 
 Storages charge their allocations to an *allocator* object (duck-typed;
 see :mod:`repro.mem.allocator`) which models allocation cycle costs and
 failure under fragmentation.  The allocator's
 :class:`~repro.mem.allocator.AllocationStats` is the one count of
 page-table memory: current, peak and largest contiguous bytes, and
-cycles.  A storage's :meth:`~Storage.total_bytes` sums only its own
-regions, for per-way reporting.
+cycles.  A storage's :meth:`~ChunkedStorage.total_bytes` sums only its
+own chunks, for per-way reporting.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.common.units import is_power_of_two
 #: A slot holds a (key, value) tuple or None.
 Slot = Optional[Tuple[int, Any]]
 
-#: Storage instances get disjoint synthetic address ranges so the cache
+#: Storages get disjoint synthetic address ranges so the cache
 #: model sees distinct lines for distinct physical locations.
 _STORAGE_IDS = itertools.count(1)
 
@@ -47,6 +50,9 @@ class ChunkBudget:
     implements this; generic users (e.g. the key-value store) can use
     :class:`UnlimitedChunkBudget`.
     """
+
+    #: Chunk pointers reserved and not yet released.
+    in_use: int
 
     def reserve(self, count: int) -> bool:
         """Try to reserve ``count`` more chunk pointers; return success."""
@@ -86,152 +92,22 @@ class _NullAllocator:
 NULL_ALLOCATOR = _NullAllocator()
 
 
-class Storage:
-    """Abstract slot array of a cuckoo way.
-
-    Concrete classes define where the slots physically live; the table
-    only reads/writes logical slot indices.  ``size_slots`` is the logical
-    capacity; during an in-place downsize the physical array may be larger
-    until the resize completes and :meth:`shrink_to` is called.
-    """
-
-    slot_bytes: int
-
-    def get(self, index: int) -> Slot:
-        raise NotImplementedError
-
-    def put(self, index: int, item: Tuple[int, Any]) -> None:
-        raise NotImplementedError
-
-    def clear(self, index: int) -> None:
-        raise NotImplementedError
-
-    @property
-    def size_slots(self) -> int:
-        raise NotImplementedError
-
-    def extend_to(self, new_slots: int) -> bool:
-        """Grow in place to ``new_slots``; return False if unsupported."""
-        raise NotImplementedError
-
-    def shrink_to(self, new_slots: int) -> None:
-        """Release physical space above ``new_slots`` (entries must be gone)."""
-        raise NotImplementedError
-
-    def total_bytes(self) -> int:
-        """Physical bytes currently backing this storage."""
-        raise NotImplementedError
-
-    def release(self) -> None:
-        """Free all physical memory backing this storage."""
-        raise NotImplementedError
-
-    def line_addr(self, index: int) -> int:
-        """Synthetic cache-line address of slot ``index``.
-
-        Each slot is one cache line (64B clustered entry); storages claim
-        disjoint address ranges so the cache model distinguishes them.
-        """
-        return self._line_base + index
-
-    def line_addr_array(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`line_addr`: the same affine map over an array."""
-        return np.int64(self._line_base) + np.asarray(indices, dtype=np.int64)
-
-    def placements(self) -> List[Tuple[int, int, int, Any]]:
-        """Physical placement units as ``(base_line, n_lines, nbytes, handle)``.
-
-        One tuple per independently-allocated region — the whole way for
-        contiguous storage, one per chunk for chunked storage.  The NUMA
-        machine model homes, replicates, and migrates page-table memory
-        per unit; released storage reports no placements.
-        """
-        return []
-
-
-class ContiguousStorage(Storage):
-    """One contiguous allocation per way — the ECPT layout.
-
-    The whole way is a single region of ``slots * slot_bytes`` bytes,
-    allocated in one shot.  It cannot grow in place: resizing a way built
-    on contiguous storage must allocate a fresh (double-sized) region and
-    migrate, which is exactly the ECPT behaviour the paper improves on.
-    """
-
-    def __init__(self, slots: int, slot_bytes: int = 64, allocator: Any = None) -> None:
-        if not is_power_of_two(slots):
-            raise ConfigurationError(f"way size {slots} must be a power of two")
-        self.slot_bytes = slot_bytes
-        self._allocator = allocator if allocator is not None else NULL_ALLOCATOR
-        self._slots: List[Slot] = [None] * slots
-        self._handle = self._allocator.alloc(slots * slot_bytes)
-        self._released = False
-        self._line_base = next(_STORAGE_IDS) << 34
-
-    def get(self, index: int) -> Slot:
-        return self._slots[index]
-
-    def put(self, index: int, item: Tuple[int, Any]) -> None:
-        self._slots[index] = item
-
-    def clear(self, index: int) -> None:
-        self._slots[index] = None
-
-    @property
-    def size_slots(self) -> int:
-        return len(self._slots)
-
-    def extend_to(self, new_slots: int) -> bool:
-        return False
-
-    def shrink_to(self, new_slots: int) -> None:
-        raise ConfigurationError("contiguous storage cannot shrink in place")
-
-    def total_bytes(self) -> int:
-        return 0 if self._released else len(self._slots) * self.slot_bytes
-
-    def release(self) -> None:
-        if not self._released:
-            self._allocator.free(self._handle)
-            self._released = True
-            self._slots = []
-
-    def placements(self) -> List[Tuple[int, int, int, Any]]:
-        """The single contiguous region backing the whole way."""
-        if self._released:
-            return []
-        nbytes = len(self._slots) * self.slot_bytes
-        return [(self._line_base, len(self._slots), nbytes, self._handle)]
-
-    def check_invariants(self) -> None:
-        """Verify the storage's structural invariants."""
-        if self._released:
-            if self._slots:
-                raise SimulationError(
-                    "released contiguous storage still holds slots",
-                    component="contiguous_storage", slots=len(self._slots),
-                )
-            return
-        if not is_power_of_two(len(self._slots)):
-            raise SimulationError(
-                "contiguous storage size is not a power of two",
-                component="contiguous_storage", slots=len(self._slots),
-            )
-
-
-class ChunkedStorage(Storage):
-    """A way made of fixed-size chunks behind a chunk budget — the ME-HPT layout.
+class ChunkedStorage:
+    """The slot array of a cuckoo way: fixed-size chunks behind a chunk budget.
 
     Logical slot ``i`` lives in chunk ``i // slots_per_chunk`` at offset
     ``i % slots_per_chunk`` — the divide/modulo of Figure 2b (a shift and a
-    mask in hardware, since the chunk size is a power of two).
+    mask in hardware, since the chunk size is a power of two).  The ECPT
+    layout is the one-chunk way, ``chunk_bytes == slots * slot_bytes``.
 
     A brand-new way may occupy only part of its first chunk (Figure 3a:
     a 4KB way inside an 8KB chunk), so ``size_slots`` may be smaller than
-    the allocated chunk space.  :meth:`extend_to` first fills spare space
-    in existing chunks, then reserves more chunk pointers from the budget;
-    when the budget refuses, the caller must transition to a bigger chunk
-    size with a fresh :class:`ChunkedStorage`.
+    the allocated chunk space; during an in-place downsize the chunks
+    also cover more than ``size_slots`` until :meth:`shrink_to`.
+    :meth:`extend_to` first fills spare space in existing chunks, then
+    reserves more chunk pointers from the budget; when the budget
+    refuses, the caller must transition to a bigger chunk size with a
+    fresh :class:`ChunkedStorage`.
     """
 
     def __init__(
@@ -310,6 +186,7 @@ class ChunkedStorage(Storage):
         return len(self._chunks)
 
     def extend_to(self, new_slots: int) -> bool:
+        """Grow in place to ``new_slots``; False when the budget refuses."""
         if new_slots < self._size_slots:
             raise ConfigurationError("extend_to cannot shrink; use shrink_to")
         have = len(self._chunks)
@@ -323,6 +200,7 @@ class ChunkedStorage(Storage):
         return True
 
     def shrink_to(self, new_slots: int) -> None:
+        """Release the chunks above ``new_slots`` (entries must be gone)."""
         if new_slots > self._size_slots:
             raise ConfigurationError("shrink_to cannot grow; use extend_to")
         need = self._chunks_for(new_slots)
@@ -335,9 +213,11 @@ class ChunkedStorage(Storage):
         self._size_slots = new_slots
 
     def total_bytes(self) -> int:
+        """Physical bytes currently backing this storage."""
         return 0 if self._released else len(self._chunks) * self.chunk_bytes
 
     def release(self) -> None:
+        """Free all physical memory backing this storage."""
         if not self._released:
             for handle in self._handles:
                 self._allocator.free(handle)
@@ -347,8 +227,26 @@ class ChunkedStorage(Storage):
             self._size_slots = 0
             self._released = True
 
+    def line_addr(self, index: int) -> int:
+        """Synthetic cache-line address of slot ``index``.
+
+        Each slot is one cache line (64B clustered entry); storages claim
+        disjoint address ranges so the cache model distinguishes them.
+        """
+        return self._line_base + index
+
+    def line_addr_array(self, indices: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`line_addr`: the same affine map over an array."""
+        return np.int64(self._line_base) + np.asarray(indices, dtype=np.int64)
+
     def placements(self) -> List[Tuple[int, int, int, Any]]:
-        """One placement unit per allocated chunk."""
+        """Physical placement units as ``(base_line, n_lines, nbytes, handle)``.
+
+        One tuple per allocated chunk — the whole way for a one-chunk
+        (ECPT) way.  The NUMA machine model homes, replicates, and
+        migrates page-table memory per unit; released storage reports no
+        placements.
+        """
         if self._released:
             return []
         return [
@@ -366,11 +264,10 @@ class ChunkedStorage(Storage):
 
         Checked: one handle per chunk, every chunk exactly
         ``slots_per_chunk`` slots, enough chunks allocated to cover
-        ``size_slots``, and (when the budget exposes ``in_use``) at
-        least this storage's chunks reserved against the budget.  The
-        physical array may legitimately exceed ``size_slots`` — a new
-        way inside a larger chunk, or an in-place downsize before
-        :meth:`shrink_to` — so no upper bound is enforced.
+        ``size_slots``, and at least this storage's chunks reserved
+        against the budget.  The physical array may legitimately exceed
+        ``size_slots`` — a new way inside a larger chunk, or an in-place
+        downsize before :meth:`shrink_to` — so no upper bound is enforced.
         """
         if self._released:
             if self._chunks or self._handles:
@@ -399,8 +296,8 @@ class ChunkedStorage(Storage):
                 size_slots=self._size_slots, chunks=len(self._chunks),
                 slots_per_chunk=self.slots_per_chunk,
             )
-        in_use = getattr(self._budget, "in_use", None)
-        if in_use is not None and in_use < len(self._chunks):
+        in_use = self._budget.in_use
+        if in_use < len(self._chunks):
             raise SimulationError(
                 "chunk budget accounts fewer chunks than allocated",
                 component="chunked_storage",

@@ -569,10 +569,6 @@ class MetricsRegistry:
             for name in sorted(self._metrics)
         }
 
-    def base_names(self) -> List[str]:
-        """Sorted catalogue-level names with at least one instance."""
-        return sorted({base_name(full) for full in self._metrics})
-
     def __contains__(self, full_name: str) -> bool:
         return full_name in self._metrics
 

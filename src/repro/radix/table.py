@@ -232,11 +232,6 @@ class RadixPageTable:
             node = entry
         return None
 
-    def node_line_addrs(self, vpn: int) -> List[int]:
-        """Just the cache-line addresses a full walk of ``vpn`` touches."""
-        _leaf, lines = self.walk(vpn)
-        return lines
-
     def node_for_prefix(self, prefix: int, depth: int) -> Optional[_Node]:
         """The node probed at level ``depth`` for a VPN whose top index
         slices equal ``prefix`` (``depth`` 9-bit slices; 0 = the root).

@@ -279,11 +279,6 @@ class ShardPool:
         """Shards with a job in flight."""
         return sum(1 for shard in self.shards if shard.busy)
 
-    @property
-    def total_restarts(self) -> int:
-        """Worker processes reaped or crashed since start."""
-        return sum(shard.restarts for shard in self.shards)
-
     async def stop(self) -> None:
         """Stop reader tasks and shut every worker down."""
         self._stopping = True

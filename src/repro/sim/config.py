@@ -42,7 +42,7 @@ from repro.workloads.base import Workload
 ORGANIZATIONS = tuple(REGISTRY)
 
 #: Valid values for :attr:`SimulationConfig.engine`.
-ENGINES = ("auto", "scalar", "vectorized")
+ENGINES = ("scalar", "vectorized")
 
 #: Value types a scalar config field accepts, by field type, and how
 #: errors name them.
@@ -159,13 +159,13 @@ class SimulationConfig:
     # as a TraceWorkload and replayed instead of a synthetic generator.
     trace_file: Optional[str] = None
 
-    # Simulation engine (repro.sim.fastpath).  "auto" picks the
-    # vectorized batched engine; "scalar"/"vectorized" force one.
+    # Simulation engine (repro.sim.fastpath): the vectorized batched
+    # engine by default, or the scalar reference engine.
     # Results are bit-identical either way — including traced event
     # streams, which the vectorized engine synthesizes in per-access
     # order — so this knob is deliberately absent from the sweep
     # engine's cache keys.
-    engine: str = "auto"
+    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.obs is not None:
@@ -196,16 +196,6 @@ class SimulationConfig:
                 f"engine {self.engine!r} not in {ENGINES}",
                 field="engine", value=self.engine,
             )
-
-    def resolve_engine(self) -> str:
-        """The engine the simulator will actually run: scalar or vectorized.
-
-        ``auto`` selects the vectorized engine.  Tracing no longer forces
-        the scalar engine: the batched engine synthesizes the per-access
-        event stream from its batch results, byte-identically.
-        :func:`repro.sim.fastpath.make_engine` is the one caller.
-        """
-        return "scalar" if self.engine == "scalar" else "vectorized"
 
     # -- scaled parameters -------------------------------------------------
 

@@ -65,17 +65,6 @@ class DatacenterResult:
         """Total page walks across all sockets."""
         return sum(self.walks_by_socket)
 
-    def replication_overhead(self) -> float:
-        """Replication + migration + shootdown share of total cycles."""
-        if not self.total_cycles:
-            return 0.0
-        tax = (
-            self.shootdown_cycles
-            + self.replication_cycles
-            + self.migration_cycles
-        )
-        return tax / self.total_cycles
-
     def remote_dram_fraction(self) -> float:
         """Fraction of walk DRAM accesses that crossed the interconnect."""
         dram = self.local_dram_accesses + self.remote_dram_accesses

@@ -447,7 +447,7 @@ def make_engine(system, caches: Optional[CacheBatch] = None, machine=None):
     scalar engine walks the system's real caches and charges its NUMA
     hook itself.
     """
-    if system.config.resolve_engine() == "vectorized":
+    if system.config.engine == "vectorized":
         return BatchedEngine(system, caches=caches, machine=machine)
     return ScalarEngine(system)
 

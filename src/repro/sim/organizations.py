@@ -149,7 +149,6 @@ class Ecpt:
         table_options, walker_options = self.options(config)
         tables = self.tables_class(
             allocator,
-            rng=None,
             ways=config.ways,
             initial_slots=config.scaled_initial_slots(),
             hash_seed=config.seed,

@@ -15,7 +15,7 @@ Traces are numpy arrays of VPNs for speed; the simulator iterates them.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -81,13 +81,6 @@ class WorkloadSpec:
     #: are still being built, so per-window OS costs are front-loaded).
     fullscale_accesses: float = 80e6
     description: str = ""
-
-    def touched_pages(self) -> int:
-        return int(self.touched_blocks * PAGES_PER_BLOCK * self.density)
-
-    def with_blocks(self, touched_blocks: int) -> "WorkloadSpec":
-        """A copy with a different footprint (used by Figure 15)."""
-        return replace(self, touched_blocks=touched_blocks)
 
 
 class Workload:

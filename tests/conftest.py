@@ -8,7 +8,12 @@ from repro.common.rng import DeterministicRng
 from repro.hashing.cuckoo import ElasticCuckooTable, ElasticWay
 from repro.hashing.hashes import HashFamily
 from repro.hashing.policies import AllWayResizePolicy, PerWayResizePolicy
-from repro.hashing.storage import ChunkedStorage, ContiguousStorage, UnlimitedChunkBudget
+from repro.hashing.storage import ChunkedStorage, UnlimitedChunkBudget
+
+
+def contiguous(slots: int, allocator=None) -> ChunkedStorage:
+    """An ECPT-layout way: one chunk as large as the way."""
+    return ChunkedStorage(slots, chunk_bytes=slots * 64, allocator=allocator)
 
 
 def make_contiguous_table(
@@ -25,7 +30,7 @@ def make_contiguous_table(
         ElasticWay(
             i,
             family.function(i),
-            ContiguousStorage(initial_slots, allocator=allocator),
+            contiguous(initial_slots, allocator=allocator),
         )
         for i in range(ways)
     ]
@@ -35,8 +40,9 @@ def make_contiguous_table(
     return ElasticCuckooTable(
         way_objs,
         policy,
-        lambda w, slots: ContiguousStorage(slots, allocator=allocator),
+        lambda w, slots: contiguous(slots, allocator=allocator),
         rng=DeterministicRng(seed + 1),
+        inplace_enabled=False,
     )
 
 

@@ -1,11 +1,16 @@
 """Unit tests for ECPT page tables (repro.ecpt.tables)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import ContiguousAllocationError
 from repro.common.units import KB, MB
 from repro.ecpt.tables import EcptPageTables
 from repro.mem.allocator import CostModelAllocator
+from repro.obs import Observability, ObservabilityConfig
+from repro.obs.trace import EVENT_RESIZE_BEGIN, filter_kind
 
 
 def make_tables(fmfi=0.3, **kwargs):
@@ -60,6 +65,44 @@ class TestContiguityBehaviour:
         way_bytes = max(w.total_bytes() for w in tables.tables["4K"].table.ways)
         assert tables.max_contiguous_bytes() >= way_bytes // 2
         assert tables.max_contiguous_bytes() >= 1 * MB
+
+    def test_ways_are_one_chunk_resized_out_of_place(self):
+        obs = Observability(ObservabilityConfig(trace_buffer=65536))
+        allocator = CostModelAllocator(fmfi=0.3)  # scale 1
+        tables = EcptPageTables(allocator, obs=obs)
+        # 600 one-page blocks per page size: two all-way upsizes each
+        # (3 x 128 -> 3 x 256 -> 3 x 512 slots at occupancy 0.6).
+        for i in range(600):
+            tables.map(i * 8, i, "4K")
+            tables.map((i * 8) << 9, i, "2M")
+            tables.map((i * 8) << 18, i, "1G")
+        tables.drain()
+        ways = [way for table in tables.tables.values() for way in table.table.ways]
+        assert all(way.upsizes >= 2 for way in ways)
+        for way in ways:
+            assert way.storage.chunk_count == 1
+            assert way.storage.chunk_bytes == way.size * 64
+            assert way.inplace_upsizes == 0
+        begins = filter_kind(obs.ring.events, EVENT_RESIZE_BEGIN)
+        assert len(begins) >= 2 * len(ways)
+        assert all(event["inplace"] is False for event in begins)
+        largest = max(way.size * 64 for way in ways)
+        assert allocator.stats.max_contiguous_bytes == largest
+
+    def test_dropped_tables_are_freed_without_the_cycle_collector(self):
+        # The resize target factory closes over the allocator, not the
+        # table set, so dropping the last reference frees the tables.
+        gc.disable()
+        try:
+            tables = make_tables()
+            for i in range(2_000):
+                tables.map(0x1000 + i * 8, i)
+            assert tables.upsizes_per_way("4K")[0] > 0
+            ref = weakref.ref(tables)
+            del tables
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_upsize_fails_on_fragmented_memory(self):
         # At FMFI > 0.7, a 64MB way allocation must crash the run,

@@ -49,14 +49,10 @@ from repro.faults import (
 from repro.hashing.cuckoo import ElasticCuckooTable, ElasticWay
 from repro.hashing.hashes import HashFamily
 from repro.hashing.policies import AllWayResizePolicy
-from repro.hashing.storage import (
-    ChunkedStorage,
-    ContiguousStorage,
-    UnlimitedChunkBudget,
-)
+from repro.hashing.storage import ChunkedStorage, UnlimitedChunkBudget
 from repro.mem.allocator import BuddyBackedAllocator, CostModelAllocator
 from repro.mem.buddy import BuddyAllocator
-from tests.conftest import make_chunked_table, make_contiguous_table
+from tests.conftest import contiguous, make_chunked_table, make_contiguous_table
 
 pytestmark = pytest.mark.faults
 
@@ -256,7 +252,7 @@ class TestRollbackResize:
         table = make_contiguous_table(initial_slots=16)
         keys = _fill(table, 8)
         way = table.ways[0]
-        way.begin_resize(32, ContiguousStorage(32))
+        way.begin_resize(32, contiguous(32))
         table.maintenance(steps=5)  # partial gradual rehash
         assert way.resizing
         table.rollback_resize(way)
@@ -299,7 +295,7 @@ class TestRollbackResize:
         table.degradation = DegradationLog()
         _fill(table, 6)
         way = table.ways[2]
-        way.begin_resize(32, ContiguousStorage(32))
+        way.begin_resize(32, contiguous(32))
         table.rollback_resize(way)
         assert table.degradation.count(EVENT_ROLLBACK) == 1
         (event,) = list(table.degradation)
@@ -316,14 +312,15 @@ class TestRollbackResize:
             calls["n"] += 1
             if calls["n"] == 2:  # way 0 succeeds, way 1 fails
                 raise ContiguousAllocationError(slots * 64, 0.8)
-            return ContiguousStorage(slots)
+            return contiguous(slots)
 
-        ways = [ElasticWay(i, family.function(i), ContiguousStorage(16)) for i in range(3)]
+        ways = [ElasticWay(i, family.function(i), contiguous(16)) for i in range(3)]
         table = ElasticCuckooTable(
             ways,
             AllWayResizePolicy(min_way_slots=16),
             factory,
             rng=DeterministicRng(8),
+            inplace_enabled=False,
             degradation=DegradationLog(),
         )
         inserted = []
@@ -392,7 +389,7 @@ class TestDegradeToOutOfPlace:
         # Arm the failure just before the in-place extension attempt: the
         # extend fails atomically, the resize degrades to out-of-place.
         allocator.fail_times = 1
-        table.start_upsize(target)
+        table.start_resize(target, True)
         assert log.count(EVENT_DEGRADE_OOP) == 1
         assert target.resizing and target.old_storage is not None
         table.drain()
@@ -435,8 +432,7 @@ class TestChunkFallback:
         log = DegradationLog()
         allocator = _FlakyChunkAllocator(fmfi=0.8, fail_at_bytes=1 * MB)
         tables = self._tables(allocator, log)
-        table = tables.tables["4K"].table
-        storage = tables._resize_storage(table, "4K", 0, 2048)
+        storage = tables._resize_storage("4K", 0, 2048)
         assert storage is not None
         assert storage.chunk_bytes == 8 * KB
         assert log.count(EVENT_FALLBACK) == 1
@@ -448,10 +444,9 @@ class TestChunkFallback:
         log = DegradationLog()
         allocator = _FlakyChunkAllocator(fmfi=0.8)
         tables = self._tables(allocator, log)
-        table = tables.tables["4K"].table
         allocator.fail_at_bytes = 8 * KB  # every ladder size now fails
         with pytest.raises(ContiguousAllocationError):
-            tables._resize_storage(table, "4K", 0, 2048)
+            tables._resize_storage("4K", 0, 2048)
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +513,14 @@ def _way_zero_table(**kwargs) -> ElasticCuckooTable:
     """A contiguous table whose way 0 indexes by the key itself, so a
     test decides which keys share a slot there."""
     family = HashFamily(seed=7)
-    ways = [ElasticWay(0, lambda key: key, ContiguousStorage(16))]
-    ways += [ElasticWay(i, family.function(i), ContiguousStorage(16)) for i in (1, 2)]
+    ways = [ElasticWay(0, lambda key: key, contiguous(16))]
+    ways += [ElasticWay(i, family.function(i), contiguous(16)) for i in (1, 2)]
     return ElasticCuckooTable(
         ways,
         _WayZeroFirst(min_way_slots=16),
-        lambda w, slots: ContiguousStorage(slots),
+        lambda w, slots: contiguous(slots),
         rng=DeterministicRng(8),
+        inplace_enabled=False,
         **kwargs,
     )
 
@@ -582,8 +578,8 @@ class TestAbortsKeepKeyIndex:
 
         table.storage_factory = factory
         with pytest.raises(ContiguousAllocationError):
-            table.start_upsize(dead)
-        assert calls == [32, 32, 16]  # start_upsize, eager target, old size
+            table.start_resize(dead, True)
+        assert calls == [32, 32, 16]  # start_resize, eager target, old size
         assert dead.storage.size_slots == 0 and dead.count == 0
         table.check_invariants()
         survivors = [key for key in keys if key not in lost]
@@ -597,7 +593,7 @@ class TestAbortsKeepKeyIndex:
         table.insert(3, 30)
         table.insert(5, 50)
         way = table.ways[0]
-        way.begin_resize(32, ContiguousStorage(32))
+        way.begin_resize(32, contiguous(32))
         table.maintenance(steps=4)  # 3 moves to the new way; pointer at 4
         table.insert(19, 190)  # old index 3 is migrated: new index 19
         # Rolling back puts 3 and 19 on old index 3 again; re-placing 19
@@ -616,7 +612,7 @@ class TestAbortsKeepKeyIndex:
         table.insert(3, 30)
         table.insert(11, 110)
         way = table.ways[0]
-        way.begin_resize(8, ContiguousStorage(8))
+        way.begin_resize(8, contiguous(8))
         table.fault_plan = FaultPlan([FaultSpec(SITE_CUCKOO_KICKS, every=1)])
         table.storage_factory = _failing_factory
         # 3 and 11 meet at new index 3: 11 claims it and 3 is cuckooed

@@ -23,10 +23,9 @@ from repro.faults import (
     FaultSpec,
     RecoveryPolicy,
 )
-from repro.hashing.storage import ContiguousStorage
 from repro.mem.allocator import BuddyBackedAllocator
 from repro.mem.buddy import BuddyAllocator
-from tests.conftest import make_chunked_table, make_contiguous_table
+from tests.conftest import contiguous, make_chunked_table, make_contiguous_table
 
 pytestmark = pytest.mark.faults
 
@@ -117,9 +116,9 @@ def test_rollback_after_partial_rehash_is_invisible(
     count_before = table.count
     if chunked:
         started_inplace = way.storage.extend_to(way.size * 2)
-        new_storage = None if started_inplace else ContiguousStorage(way.size * 2)
+        new_storage = None if started_inplace else contiguous(way.size * 2)
     else:
-        new_storage = ContiguousStorage(way.size * 2)
+        new_storage = contiguous(way.size * 2)
     way.begin_resize(way.size * 2, new_storage)
     table.maintenance(steps=rehash_steps)
     # Enough steps may finish the resize first; rollback is then a no-op.

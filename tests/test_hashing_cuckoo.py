@@ -140,6 +140,34 @@ class TestResizingInPlace:
         assert any(way.upsizes > 0 for way in table.ways)
 
 
+class TestResizeInFlight:
+    @pytest.mark.parametrize("maker", [make_chunked_table, make_contiguous_table])
+    def test_start_resize_finishes_the_resize_in_flight(self, maker):
+        table = maker(initial_slots=16)
+        keys = [0x1000 + i * 8 for i in range(8)]
+        for key in keys:
+            table.insert(key, key * 3)
+        way = table.ways[0]
+        assert not table.resizing()
+        table.start_resize(way, True)
+        table.maintenance(steps=5)
+        assert way.resizing and way.old_size == 16 and way.size == 32
+        inplace = maker is make_chunked_table
+        assert (way.old_storage is None) == inplace
+        # The resize in flight completes first, then the way doubles
+        # from its new size.
+        table.start_resize(way, True)
+        assert way.resizing and way.old_size == 32 and way.size == 64
+        assert way.upsizes == 2
+        assert way.inplace_upsizes == (2 if inplace else 0)
+        table.check_invariants()
+        table.drain()
+        assert way.size == 64 and way.storage.size_slots == 64
+        table.check_invariants()
+        for key in keys:
+            assert table.lookup(key) == key * 3
+
+
 class TestDownsizing:
     def test_downsize_after_deletes(self):
         table = make_contiguous_table(initial_slots=16)

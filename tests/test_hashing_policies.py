@@ -71,7 +71,7 @@ class TestPerWayPolicy:
         table = make_chunked_table(initial_slots=16)
         policy = table.policy
         # Make way 0 bigger and nearly full.
-        table.start_upsize(table.ways[0])
+        table.start_resize(table.ways[0], True)
         table.drain()
         way = table.ways[0]
         way.count = int(way.size * policy.upsize_threshold) + 1
@@ -83,7 +83,7 @@ class TestPerWayPolicy:
         table = make_chunked_table(initial_slots=16)
         policy = table.policy
         for way in table.ways[:2]:
-            table.start_upsize(way)
+            table.start_resize(way, True)
         table.drain()
         full_big, roomy_big, small = table.ways
         assert [way.size for way in table.ways] == [32, 32, 16]

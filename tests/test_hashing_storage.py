@@ -3,17 +3,16 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.hashing.storage import (
-    ChunkedStorage,
-    ContiguousStorage,
-    UnlimitedChunkBudget,
-)
+from repro.hashing.storage import ChunkedStorage, UnlimitedChunkBudget
 from repro.mem.allocator import CostModelAllocator
+from tests.conftest import contiguous
 
 
 class TestContiguousStorage:
+    """The ECPT layout: a way of one chunk as large as itself."""
+
     def test_basic_get_put_clear(self):
-        storage = ContiguousStorage(8)
+        storage = contiguous(8)
         assert storage.get(3) is None
         storage.put(3, (42, "v"))
         assert storage.get(3) == (42, "v")
@@ -22,25 +21,18 @@ class TestContiguousStorage:
 
     def test_size_must_be_power_of_two(self):
         with pytest.raises(ConfigurationError):
-            ContiguousStorage(12)
-
-    def test_cannot_extend_in_place(self):
-        assert ContiguousStorage(8).extend_to(16) is False
-
-    def test_cannot_shrink_in_place(self):
-        with pytest.raises(ConfigurationError):
-            ContiguousStorage(8).shrink_to(4)
+            contiguous(12)
 
     def test_single_contiguous_allocation(self):
         allocator = CostModelAllocator(fmfi=0.1)
-        storage = ContiguousStorage(1024, slot_bytes=64, allocator=allocator)
+        storage = contiguous(1024, allocator=allocator)
         assert allocator.stats.allocations == 1
         assert allocator.stats.max_contiguous_bytes == 1024 * 64
         assert storage.total_bytes() == 1024 * 64
 
     def test_release_frees_memory(self):
         allocator = CostModelAllocator(fmfi=0.1)
-        storage = ContiguousStorage(64, allocator=allocator)
+        storage = contiguous(64, allocator=allocator)
         storage.release()
         assert allocator.stats.current_bytes == 0
         assert storage.total_bytes() == 0
@@ -48,8 +40,8 @@ class TestContiguousStorage:
         assert allocator.stats.frees == 1
 
     def test_line_addrs_disjoint_across_storages(self):
-        a = ContiguousStorage(8)
-        b = ContiguousStorage(8)
+        a = contiguous(8)
+        b = contiguous(8)
         assert a.line_addr(0) != b.line_addr(0)
         assert a.line_addr(1) == a.line_addr(0) + 1
 

@@ -16,7 +16,7 @@ SCALE = 256
 ENGINES = ("scalar", "vectorized")
 
 
-def make_driver(app="TC", trace_length=3_000, engine="auto",
+def make_driver(app="TC", trace_length=3_000, engine="vectorized",
                 organization="mehpt", **overrides):
     workload = get_workload(app, scale=SCALE)
     config = SimulationConfig(

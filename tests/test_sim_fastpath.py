@@ -23,6 +23,7 @@ from repro.obs.trace import read_jsonl
 from repro.radix.table import RadixPageTable
 from repro.sim import simulator
 from repro.sim.config import ENGINES, SimulationConfig
+from repro.sim.fastpath import BatchedEngine, ScalarEngine, make_engine
 from repro.sim.simulator import TranslationSimulator, memory_result
 from repro.traces.format import TraceMeta, TraceReader, TraceWriter
 from repro.traces.workload import TraceWorkload
@@ -280,51 +281,60 @@ class TestCheckFailureState:
         assert len(read_jsonl(str(path))) == sink.events_written
 
 
+def engine_for(config):
+    """The engine ``make_engine`` builds for ``config`` over a GUPS system."""
+    return make_engine(config.build(get_workload("GUPS", scale=SCALE)))
+
+
 class TestEngineSelection:
     def test_engine_validated(self):
-        assert SimulationConfig(engine="auto").engine == "auto"
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(engine="turbo")
-        assert "vectorized" in ENGINES
+        assert ENGINES == ("scalar", "vectorized")
+        for name in ("auto", "turbo"):
+            with pytest.raises(ConfigurationError):
+                SimulationConfig(engine=name)
 
-    def test_auto_prefers_vectorized(self):
-        assert SimulationConfig().resolve_engine() == "vectorized"
-        assert SimulationConfig(engine="scalar").resolve_engine() == "scalar"
+    def test_default_engine_is_vectorized(self):
+        assert SimulationConfig().engine == "vectorized"
+        assert isinstance(engine_for(SimulationConfig(scale=SCALE)), BatchedEngine)
+        scalar = SimulationConfig(scale=SCALE, engine="scalar")
+        assert isinstance(engine_for(scalar), ScalarEngine)
 
     def test_tracing_composes_with_vectorized(self):
-        # Tracing no longer forces the scalar loop (PR 7): the batched
-        # engine synthesizes the per-access event stream itself.
-        traced = SimulationConfig(obs=ObservabilityConfig(trace_buffer=64))
-        assert traced.resolve_engine() == "vectorized"
-        metrics_only = SimulationConfig(obs=ObservabilityConfig())
-        assert metrics_only.resolve_engine() == "vectorized"
+        # Tracing does not force the scalar engine: the batched engine
+        # synthesizes the per-access event stream itself.
+        traced = SimulationConfig(scale=SCALE, obs=ObservabilityConfig(trace_buffer=64))
+        assert isinstance(engine_for(traced), BatchedEngine)
+        metrics_only = SimulationConfig(scale=SCALE, obs=ObservabilityConfig())
+        assert isinstance(engine_for(metrics_only), BatchedEngine)
 
     def test_vectorized_with_tracing_accepted(self):
         config = SimulationConfig(
-            engine="vectorized", obs=ObservabilityConfig(trace_buffer=64),
+            scale=SCALE, engine="vectorized",
+            obs=ObservabilityConfig(trace_buffer=64),
         )
-        assert config.resolve_engine() == "vectorized"
+        assert isinstance(engine_for(config), BatchedEngine)
         result, _ = run_engine(
             "vectorized", n=2_000, obs=ObservabilityConfig(trace_buffer=256),
         )
         assert result.accesses > 0
 
-    def test_traced_auto_run_enters_fastpath(self, monkeypatch):
+    def test_traced_default_run_enters_fastpath(self, monkeypatch):
         import repro.sim.fastpath as fastpath
 
-        entered = []
-        real = fastpath.run_vectorized
+        built = []
+        real = fastpath.make_engine
 
         def spy(*args, **kwargs):
-            entered.append(True)
-            return real(*args, **kwargs)
+            built.append(real(*args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(fastpath, "run_vectorized", spy)
+        monkeypatch.setattr(fastpath, "make_engine", spy)
         result, _ = run_engine(
-            "auto", n=2_000, obs=ObservabilityConfig(trace_buffer=256),
+            SimulationConfig().engine, n=2_000,
+            obs=ObservabilityConfig(trace_buffer=256),
         )
         assert result.accesses > 0
-        assert entered
+        assert built and all(isinstance(engine, BatchedEngine) for engine in built)
 
     def test_engine_chunk_validated(self):
         workload = get_workload("GUPS", scale=SCALE)

@@ -33,7 +33,7 @@ pytestmark = [pytest.mark.fastpath, pytest.mark.datacenter]
 SCALE = 64
 
 
-def dc_config(organization="mehpt", engine="auto", **overrides):
+def dc_config(organization="mehpt", engine="vectorized", **overrides):
     return SimulationConfig(
         organization=organization, scale=SCALE, engine=engine, **overrides
     )
@@ -255,7 +255,7 @@ class TestSweepCacheEngineIndependence:
                 "datacenter", settings, cell,
                 {"dc_policy": "migrate", "engine": engine},
             )[0]
-            for engine in ("auto", "scalar", "vectorized")
+            for engine in ("scalar", "vectorized")
         }
         assert len(keys) == 1
 
